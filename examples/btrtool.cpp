@@ -314,19 +314,20 @@ int CmdScan(const std::string& csv_path,
     if (column == nullptr) {
       return Fail(Status::NotFound("no such column: " + column_name));
     }
+    PredicateExpr leaf;
     switch (column->type()) {
       case ColumnType::kInteger:
-        spec.predicates.push_back(
-            Predicate::EqualsInt(column_name, std::atoi(value.c_str())));
+        leaf = PredicateExpr::EqualsInt(column_name, std::atoi(value.c_str()));
         break;
       case ColumnType::kDouble:
-        spec.predicates.push_back(
-            Predicate::EqualsDouble(column_name, std::atof(value.c_str())));
+        leaf = PredicateExpr::EqualsDouble(column_name,
+                                           std::atof(value.c_str()));
         break;
       case ColumnType::kString:
-        spec.predicates.push_back(Predicate::EqualsString(column_name, value));
+        leaf = PredicateExpr::EqualsString(column_name, value);
         break;
     }
+    spec.filter = PredicateExpr::And(std::move(spec.filter), std::move(leaf));
   }
 
   if (!tenants.empty()) {

@@ -12,8 +12,8 @@
 //                                      instrumentation sinks.
 //   ScanConfig        (this header)    how btr::Scanner executes a scan:
 //                                      decode threads, fetch threads, and
-//                                      the prefetch depth of the bounded
-//                                      queue between the stages.
+//                                      the prefetch depth (parts in
+//                                      flight per scan).
 //   s3sim::S3Config   (s3sim/object_store.h)
 //                                      the modeled cloud: NIC bandwidth,
 //                                      GET billing, chunk size, and the
@@ -138,7 +138,7 @@ struct CompressionConfig {
 
 // How btr::Scanner pipelines a scan (see the configuration story above).
 // Defaults favor a laptop-class box: enough fetch concurrency to hide
-// object-store latency, a queue deep enough to keep decoders busy.
+// object-store latency, a window deep enough to keep decoders busy.
 //
 // The robustness knobs mirror exec::RetryPolicy (the scanner builds one
 // from them; this header stays free of exec dependencies). Transient GET
@@ -146,9 +146,15 @@ struct CompressionConfig {
 // backoff and deterministic jitter; permanent ones either fail the scan
 // or — in degraded mode — skip the affected row block and report it.
 struct ScanConfig {
-  u32 scan_threads = 0;    // decode workers; 0 = hardware concurrency
-  u32 fetch_threads = 4;   // concurrent ranged GETs the prefetcher issues
-  u32 prefetch_depth = 8;  // blocks buffered between fetch and decode
+  // Standalone executor sizes. A serviced scanner runs on the service's
+  // executors and ignores both (service/scan_service.h).
+  u32 scan_threads = 0;    // decode pool threads; 0 = hardware concurrency
+  u32 fetch_threads = 4;   // fetch pool threads: ranged GETs in flight
+  // Parts (one block of one column) a scan fetches ahead: it may have
+  // prefetch_depth + needed columns - 1 parts fetched or in flight and not
+  // yet being decoded, so a row block can always assemble
+  // (docs/SCAN_PIPELINE.md).
+  u32 prefetch_depth = 8;
 
   // --- predicate pushdown (btr/predicate.h, docs/PREDICATES.md) ------------
   // When true (default), the scan prunes row blocks against zone maps and

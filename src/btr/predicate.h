@@ -133,8 +133,8 @@ struct PredicateExpr {
 };
 
 // Legacy name: the old struct Predicate was a single equality leaf. All
-// existing call sites (Predicate::EqualsInt, ScanSpec::predicates, ...)
-// keep working against the leaf subset of PredicateExpr.
+// existing call sites (Predicate::EqualsInt, ...) keep working against
+// the leaf subset of PredicateExpr.
 using Predicate = PredicateExpr;
 
 // --- zone-map pruning --------------------------------------------------------

@@ -5,14 +5,15 @@
 #include <chrono>
 #include <condition_variable>
 #include <exception>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <unordered_map>
 
 #include "btr/datablock.h"
 #include "exec/block_cache.h"
-#include "exec/pipeline.h"
 #include "exec/retry.h"
 #include "exec/thread_pool.h"
 #include "obs/metrics.h"
@@ -81,6 +82,16 @@ exec::HedgePolicy MakeHedgePolicy(const ScanConfig& config) {
   return policy;
 }
 
+// A standalone Scanner's fetch or decode pool: created on first use and
+// kept across Scan() calls, recreated only when the thread count changes.
+exec::ThreadPool& EnsurePool(std::unique_ptr<exec::ThreadPool>* pool,
+                             u32 threads) {
+  if (*pool == nullptr || (*pool)->thread_count() != threads) {
+    *pool = std::make_unique<exec::ThreadPool>(threads);
+  }
+  return **pool;
+}
+
 exec::CircuitBreakerPolicy MakeBreakerPolicy(const ScanConfig& config) {
   exec::CircuitBreakerPolicy policy;
   policy.window = config.breaker_window;
@@ -125,14 +136,6 @@ Scanner::Scanner(service::ScanService& service, const std::string& tenant_id,
 
 // Out-of-line so scanner.h can hold the cache behind a forward declaration.
 Scanner::~Scanner() = default;
-
-exec::ThreadPool& Scanner::EnsureDecodePool(u32 threads) {
-  if (decode_pool_ == nullptr || decode_pool_threads_ != threads) {
-    decode_pool_ = std::make_unique<exec::ThreadPool>(threads);
-    decode_pool_threads_ = threads;
-  }
-  return *decode_pool_;
-}
 
 Status Scanner::Open(const ScanConfig& config) {
   if (store_ == nullptr) return Status::InvalidArgument("null object store");
@@ -225,8 +228,8 @@ struct Scanner::ResolvedSpec {
   std::vector<u32> needed;      // union of projection + filter columns
   // Position of each projection entry inside `needed`.
   std::vector<u32> projection_pos;
-  // Resolved filter: spec.filter ANDed with the legacy spec.predicates,
-  // with integer leaves on double columns coerced. Empty() = no filtering.
+  // Resolved filter: spec.filter with integer leaves on double columns
+  // coerced. Empty() = no filtering.
   PredicateExpr filter;
   // Filter column name -> position inside `needed`.
   std::unordered_map<std::string, u32> filter_pos;
@@ -298,12 +301,7 @@ Status Scanner::ResolveSpec(const ScanSpec& spec, ResolvedSpec* out) const {
     out->projection_pos.push_back(needed_pos(index));
   }
 
-  // One filter expression: the composable spec.filter ANDed with each
-  // legacy single predicate.
   out->filter = spec.filter;
-  for (const Predicate& predicate : spec.predicates) {
-    out->filter = PredicateExpr::And(std::move(out->filter), predicate);
-  }
 
   // Resolve every leaf: the column must exist, its type must match (or be
   // coercible int -> double), and its block bytes must be fetched.
@@ -367,12 +365,25 @@ struct BlockResult {
   Status error;  // why the block is kUnreadable (degraded mode only)
 };
 
+// One ranged GET of the fetch plan: the part of row block `block` at
+// position `pos` among the needed columns. `expected_crc` comes from the
+// column header and arms the block cache: a hit skips the GET, and a
+// fetched payload is admitted only when it hashes to this checksum.
+struct FetchRequest {
+  std::string key;
+  u64 offset = 0;
+  u64 length = 0;
+  u32 block = 0;
+  u32 pos = 0;
+  u32 expected_crc = 0;
+};
+
 // Fetched column blocks of one row block, awaiting completion. A part
 // whose fetch failed permanently still counts toward `filled` (its status
 // lands in `error`) so the bundle always completes and the emitter never
 // waits on a block that cannot arrive. Parts are the block cache's
 // refcounted payloads: a cache hit shares the cached buffer instead of
-// copying it, and a fetched buffer is wrapped without a copy.
+// copying it.
 struct Bundle {
   std::vector<exec::BlockCache::Payload> parts;  // by needed-column position
   u32 filled = 0;
@@ -422,8 +433,6 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
 
   ScanStats stats;
   stats.row_blocks = resolved.row_blocks;
-  const u64 base_requests = store_->total_requests();
-  const u64 base_bytes = store_->total_bytes_fetched();
   ScanMetrics& metrics = ScanMetrics::Get();
   metrics.row_blocks.Add(resolved.row_blocks);
 
@@ -468,27 +477,27 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
   // Block-major so one row block's column parts are fetched adjacently and
   // bundles complete close to their emission order.
   const u32 needed_count = static_cast<u32>(resolved.needed.size());
-  std::vector<exec::FetchRequest> requests;
+  std::vector<FetchRequest> requests;
   for (u32 b = 0; b < resolved.row_blocks; b++) {
     if (pruned[b]) continue;
     for (u32 pos = 0; pos < needed_count; pos++) {
       u32 column = resolved.needed[pos];
-      exec::FetchRequest request;
+      FetchRequest request;
       request.key = ColumnFileKey(prefix_, resolved_name_, column);
       request.offset = block_offsets_[column][b];
       request.length = block_offsets_[column][b + 1] - block_offsets_[column][b];
-      request.tag = static_cast<u64>(b) * needed_count + pos;
-      // Arms the block cache for this request: a hit skips the GET, a
-      // fetched payload is admitted only when it matches this checksum.
+      request.block = b;
+      request.pos = pos;
       request.expected_crc = block_crcs_[column][b];
-      request.verify_crc = true;
       requests.push_back(std::move(request));
     }
   }
 
-  // --- shared pipeline state -------------------------------------------------
+  // --- shared scan state -----------------------------------------------------
   std::mutex mutex;
-  std::condition_variable ready_cv;
+  // One condition for every wait on `mutex`: the emitter waiting on the
+  // reorder buffer, retry backoff sleeps, and the final quiesce.
+  std::condition_variable cv;
   std::map<u32, BlockResult> ready;              // reorder buffer
   std::unordered_map<u32, Bundle> assembling;    // incomplete bundles
   Status first_error;
@@ -544,10 +553,8 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
     }
   };
 
-  // Mode-specific unwind hook invoked by fail(): standalone stops the
-  // prefetcher and aborts the bounded queue; serviced wakes backoff
-  // sleepers so in-flight items bail fast.
-  std::function<void()> on_fail_unwind;
+  // Wakes the emitter and any backoff sleeper, so in-flight items bail
+  // fast and the scan unwinds.
   auto fail = [&](Status status) {
     bool first = false;
     {
@@ -561,8 +568,7 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
     // Mark the failure point in the trace so an aborted scan's spans are
     // diagnosable — the RAII spans themselves flush normally on unwind.
     if (first) BTR_TRACE_INSTANT("scan.error");
-    if (on_fail_unwind) on_fail_unwind();
-    ready_cv.notify_all();
+    cv.notify_all();
   };
 
   // CRC-refetch accounting (ScanStats::crc_refetches / crc_rescues);
@@ -570,12 +576,12 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
   std::atomic<u64> crc_refetch_count{0};
   std::atomic<u64> crc_rescue_count{0};
   std::atomic<u64> bytes_decoded_count{0};
-  // Serviced scans share the store with other tenants, so per-scan
-  // request/byte totals cannot come from store deltas — this scan's items
-  // count their own traffic instead (ignored in standalone mode, which
-  // keeps the exact store-delta accounting).
-  std::atomic<u64> job_requests{0};
-  std::atomic<u64> job_bytes_fetched{0};
+  // Every GET this scan sends to the store and the payload bytes the
+  // successful ones return (ScanStats::requests / bytes_fetched). Counted
+  // per item rather than as store deltas, so concurrent scans on one
+  // store never see each other's traffic.
+  std::atomic<u64> get_count{0};
+  std::atomic<u64> get_bytes{0};
   // Per-leaf fast-path/materialized tallies, merged from the decode
   // workers' per-block LeafEvalStats (ScanStats::predicate_leaves).
   std::vector<std::atomic<u64>> leaf_fast_count(resolved.leaf_count);
@@ -613,11 +619,12 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
           std::vector<u8> fresh;
           Status refetch = store_->GetChunk(key, block_offsets_[column][b],
                                             expected_size, &fresh);
-          job_requests.fetch_add(1, std::memory_order_relaxed);
+          get_count.fetch_add(1, std::memory_order_relaxed);
+          if (refetch.ok()) {
+            get_bytes.fetch_add(fresh.size(), std::memory_order_relaxed);
+          }
           if (refetch.ok() && fresh.size() == expected_size &&
               Crc32c(fresh.data(), fresh.size()) == block_crcs_[column][b]) {
-            job_bytes_fetched.fetch_add(fresh.size(),
-                                        std::memory_order_relaxed);
             auto repaired = std::make_shared<ByteBuffer>();
             repaired->Append(fresh.data(), fresh.size());
             bundle.parts[pos] = std::move(repaired);
@@ -746,16 +753,248 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
       std::lock_guard<std::mutex> lock(mutex);
       ready.emplace(b, std::move(result));
     }
-    ready_cv.notify_all();
+    cv.notify_all();
   };
 
-  u32 scan_threads = spec.config.scan_threads;
-  if (scan_threads == 0) {
-    scan_threads = std::max(1u, std::thread::hardware_concurrency());
+  // --- stage 2: fetch and decode items --------------------------------------
+  // The executors are the only part that depends on the mode. Standalone:
+  // two private pools, persistent across Scan() calls. Serviced: the
+  // service's shared executors, under this tenant's fair-queue lanes.
+  std::function<void(u64, std::function<void()>)> submit_fetch;
+  std::function<void(u64, std::function<void()>)> submit_decode;
+  if (serviced) {
+    submit_fetch = [&](u64 cost, std::function<void()> item) {
+      service_->SubmitFetch(tenant_slot_, cost, std::move(item));
+    };
+    submit_decode = [&](u64 cost, std::function<void()> item) {
+      service_->SubmitDecode(tenant_slot_, cost, std::move(item));
+    };
+  } else {
+    u32 scan_threads = spec.config.scan_threads;
+    if (scan_threads == 0) {
+      scan_threads = std::max(1u, std::thread::hardware_concurrency());
+    }
+    exec::ThreadPool& fetch_pool =
+        EnsurePool(&fetch_pool_, std::max(1u, spec.config.fetch_threads));
+    exec::ThreadPool& decode_pool = EnsurePool(&decode_pool_, scan_threads);
+    submit_fetch = [&fetch_pool](u64, std::function<void()> item) {
+      fetch_pool.Submit(std::move(item));
+    };
+    submit_decode = [&decode_pool](u64, std::function<void()> item) {
+      decode_pool.Submit(std::move(item));
+    };
   }
 
+  // Backpressure is window tokens: at most `window_tokens` parts of this
+  // scan are submitted and not yet being decoded. A fetch item takes one
+  // token; a bundle's decode item gives its parts' tokens back as it
+  // starts, so decode time never throttles GET concurrency. Tokens are
+  // only taken before submitting, never while holding an executor thread,
+  // so no item ever blocks on another (no cross-tenant head-of-line
+  // blocking on service executors). Parts are submitted in block-major
+  // order, so only the last submitted row block can be partly submitted:
+  // the window is prefetch_depth parts of lookahead plus room for that
+  // block's other needed_count - 1 parts. A row block can therefore
+  // always assemble, and a block wider than prefetch_depth does not leave
+  // fetch executors idle while its last parts arrive.
+  exec::RetryState retry(MakeRetryPolicy(spec.config));
+  exec::HedgeState hedge(MakeHedgePolicy(spec.config));
+  exec::StragglerSink stragglers;
+  std::function<bool()> hedge_gate;
+  if (serviced) {
+    // A serviced hedge must also fit the tenant's hedge budget.
+    hedge_gate = [&] { return service_->TryAcquireTenantHedge(tenant_slot_); };
+  }
+  u64 window_tokens =
+      u64{std::max<u32>(1, spec.config.prefetch_depth)} + needed_count - 1;
+  size_t next_request = 0;  // next index into `requests`; guarded by mutex
+  u64 outstanding = 0;      // submitted items not yet finished; guarded
+  std::atomic<u64> cache_hits{0};
+  std::atomic<u64> cache_misses{0};
+
+  // Interruptible retry backoff: the sleeper wakes the moment the scan
+  // fails.
+  auto backoff_sleep = [&](u64 backoff_ns) {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait_for(lock, std::chrono::nanoseconds(backoff_ns),
+                [&] { return failed; });
+    return !failed;
+  };
+  auto finish_item = [&] {
+    std::lock_guard<std::mutex> lock(mutex);
+    if (--outstanding == 0) cv.notify_all();
+  };
+  // Executor threads must survive anything an item throws: the exception
+  // becomes the scan's Status.
+  auto guarded = [&](const std::function<void()>& body) {
+    try {
+      body();
+    } catch (const std::exception& e) {
+      fail(Status::Internal(std::string("scan worker threw: ") + e.what()));
+    } catch (...) {
+      fail(Status::Internal("scan worker threw a non-std exception"));
+    }
+  };
+
+  std::function<void()> pump;
+
+  auto run_decode_item = [&](u32 b, const std::shared_ptr<Bundle>& bundle) {
+    bool bail;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      bail = failed;
+      if (!bail) window_tokens += needed_count;
+    }
+    if (!bail) {
+      guarded([&] {
+        pump();
+        process_and_publish(b, std::move(*bundle));
+      });
+    }
+    finish_item();
+  };
+
+  // Resolves one part — shared cache hit, or GETs with retries and
+  // hedging — and hands a completed bundle to the decode executor.
+  auto fetch_part = [&](const FetchRequest& request) {
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (failed) return;
+    }
+    exec::BlockCache::Payload payload;
+    Status status;
+    if (active_cache != nullptr) {
+      payload = active_cache->LookupShared(request.key, request.offset,
+                                           request.length);
+    }
+    if (payload != nullptr) {
+      // Cache hit: the bundle references the cached buffer directly —
+      // zero copies, zero GETs.
+      cache_hits.fetch_add(1, std::memory_order_relaxed);
+      if (serviced) {
+        service_->RecordFetchOutcome(tenant_slot_, /*cache_hit=*/true,
+                                     /*bytes=*/0, /*gets=*/0,
+                                     /*hedged=*/false);
+      }
+      if (profile != nullptr) {
+        obs::FetchRecord record;
+        record.key = &request.key;
+        record.offset = request.offset;
+        record.length = request.length;
+        record.cacheable = true;
+        record.cache_hit = true;
+        profile->RecordFetch(record);
+      }
+    } else {
+      if (active_cache != nullptr) {
+        cache_misses.fetch_add(1, std::memory_order_relaxed);
+      }
+      std::vector<u8> chunk;
+      exec::GetTally tally;
+      exec::RetryOutcome outcome;
+      Timer get_timer;
+      {
+        BTR_TRACE_SPAN("scan.fetch");
+        // Transient failures retry with interruptible backoff; permanent
+        // ones (and exhausted retries) become the part's status. The
+        // breaker, when installed, can fail the request fast instead.
+        status = exec::RunWithRetries(
+            &retry,
+            [&] {
+              return exec::HedgedGet(store_, request.key, request.offset,
+                                     request.length, &hedge, &stragglers,
+                                     &chunk, &tally, hedge_gate);
+            },
+            backoff_sleep, breaker, &outcome);
+      }
+      get_count.fetch_add(tally.gets, std::memory_order_relaxed);
+      get_bytes.fetch_add(tally.bytes, std::memory_order_relaxed);
+      if (profile != nullptr) {
+        obs::FetchRecord record;
+        record.key = &request.key;
+        record.offset = request.offset;
+        record.length = request.length;
+        record.duration_ns = static_cast<u64>(get_timer.ElapsedNanos());
+        record.attempts = std::max<u32>(1, outcome.attempts);
+        record.retries = outcome.retries;
+        record.cacheable = active_cache != nullptr;
+        record.hedged = tally.hedges > 0;
+        record.hedge_won = tally.hedge_won;
+        record.breaker_rejected = outcome.breaker_rejected;
+        record.ok = status.ok();
+        profile->RecordFetch(record);
+      }
+      if (status.ok()) {
+        if (serviced) {
+          service_->RecordFetchOutcome(tenant_slot_, /*cache_hit=*/false,
+                                       chunk.size(), tally.gets,
+                                       tally.hedges > 0);
+        }
+        auto buffer = std::make_shared<ByteBuffer>();
+        buffer->Append(chunk.data(), chunk.size());
+        payload = std::move(buffer);
+        // Verified admission: a corrupt payload is refused here and fails
+        // the CRC check in process_bundle.
+        cache_insert(request.key, request.offset, request.length,
+                     chunk.data(), chunk.size(), request.expected_crc);
+      }
+    }
+    // A part whose fetch failed permanently still completes its bundle
+    // (with the status in Bundle::error), so the emitter never waits on a
+    // block that cannot arrive.
+    const u32 b = request.block;
+    std::shared_ptr<Bundle> complete;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      if (failed) return;
+      Bundle& bundle = assembling[b];
+      if (bundle.parts.empty()) bundle.parts.resize(needed_count);
+      if (!status.ok() && bundle.error.ok()) bundle.error = status;
+      bundle.parts[request.pos] = std::move(payload);
+      if (++bundle.filled == needed_count) {
+        complete = std::make_shared<Bundle>(std::move(bundle));
+        assembling.erase(b);
+        outstanding++;  // the decode item submitted just below
+      }
+    }
+    if (complete != nullptr) {
+      u64 cost = 0;
+      for (const exec::BlockCache::Payload& part : complete->parts) {
+        if (part != nullptr) cost += part->size();
+      }
+      submit_decode(cost, [&, b, complete] { run_decode_item(b, complete); });
+    }
+  };
+
+  pump = [&] {
+    std::vector<size_t> to_submit;
+    {
+      std::lock_guard<std::mutex> lock(mutex);
+      while (!failed && window_tokens > 0 && next_request < requests.size()) {
+        window_tokens--;
+        outstanding++;
+        to_submit.push_back(next_request++);
+      }
+    }
+    for (size_t i : to_submit) {
+      // prefetch_wait: how long the item queues before a fetch executor
+      // starts it (no clock read when profiling is off).
+      std::chrono::steady_clock::time_point submitted{};
+      if (profile != nullptr) submitted = std::chrono::steady_clock::now();
+      submit_fetch(requests[i].length, [&, i, submitted] {
+        if (profile != nullptr) {
+          auto waited = std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - submitted);
+          profile->AddActivity(obs::ScanActivity::kPrefetchWait,
+                               static_cast<u64>(waited.count()));
+        }
+        guarded([&] { fetch_part(requests[i]); });
+        finish_item();
+      });
+    }
+  };
+
   // --- stage 3: in-order emission on the calling thread ---------------------
-  Status emit_status;
   auto emit_loop = [&] {
     for (u32 b = 0; b < resolved.row_blocks; b++) {
       if (pruned[b]) {
@@ -777,7 +1016,7 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
       {
         if (profile != nullptr) stage_timer.Enter(obs::ScanStage::kEmitWait);
         std::unique_lock<std::mutex> lock(mutex);
-        ready_cv.wait(lock, [&] { return failed || ready.count(b) != 0; });
+        cv.wait(lock, [&] { return failed || ready.count(b) != 0; });
         if (failed) break;
         result = std::move(ready[b]);
         ready.erase(b);
@@ -815,344 +1054,39 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
     }
   };
 
-  if (!serviced) {
-    // ---- standalone: private prefetcher feeding a persistent decode pool --
-    exec::FetchOptions fetch_options;
-    fetch_options.cache = active_cache;
-    fetch_options.hedge = MakeHedgePolicy(spec.config);
-    fetch_options.breaker = breaker;
-    fetch_options.profile = profile;
-
-    exec::BoundedQueue<exec::FetchedBlock> queue(
-        std::max<u32>(1, spec.config.prefetch_depth));
-    exec::Prefetcher prefetcher(store_, std::move(requests), &queue,
-                                spec.config.fetch_threads,
-                                MakeRetryPolicy(spec.config), fetch_options);
-    on_fail_unwind = [&] {
-      prefetcher.RequestStop();
-      queue.Abort();
-    };
-
-    exec::ThreadPool& pool = EnsureDecodePool(scan_threads);
-    for (u32 t = 0; t < scan_threads; t++) {
-      pool.Submit([&] {
-        try {
-          exec::FetchedBlock fetched;
-          for (;;) {
-            bool popped;
-            if (profile != nullptr) {
-              // Time spent blocked on the queue = decode capacity wasted
-              // waiting for the prefetcher (ScanProfile "prefetch_wait").
-              Timer pop_timer;
-              popped = queue.Pop(&fetched);
-              profile->AddActivity(obs::ScanActivity::kPrefetchWait,
-                                   static_cast<u64>(pop_timer.ElapsedNanos()));
-            } else {
-              popped = queue.Pop(&fetched);
-            }
-            if (!popped) break;
-            u32 b = static_cast<u32>(fetched.tag / needed_count);
-            u32 pos = static_cast<u32>(fetched.tag % needed_count);
-            Bundle complete;
-            bool is_complete = false;
-            {
-              std::lock_guard<std::mutex> lock(mutex);
-              Bundle& bundle = assembling[b];
-              if (bundle.parts.empty()) bundle.parts.resize(needed_count);
-              if (!fetched.status.ok() && bundle.error.ok()) {
-                bundle.error = fetched.status;
-              }
-              bundle.parts[pos] =
-                  std::make_shared<ByteBuffer>(std::move(fetched.data));
-              if (++bundle.filled == needed_count) {
-                complete = std::move(bundle);
-                assembling.erase(b);
-                is_complete = true;
-              }
-            }
-            if (is_complete) process_and_publish(b, std::move(complete));
-          }
-        } catch (...) {
-          // Unblock the emitter before handing the exception to the pool
-          // (ThreadPool::Wait() rethrows it; Scan() maps it to a Status).
-          fail(Status::Internal("scan worker threw"));
-          throw;
-        }
-      });
-    }
-    prefetcher.Start();
+  pump();
+  // A throwing callback fails the scan like any other error, but the
+  // caller gets its own exception back — after the quiesce below.
+  std::exception_ptr emit_exception;
+  try {
     emit_loop();
-
-    // --- unwind -------------------------------------------------------------
-    // On failure Abort() unblocks producers and consumers; on success the
-    // prefetcher has closed the queue and workers drain to end-of-stream.
-    if (profile != nullptr) stage_timer.Enter(obs::ScanStage::kTeardown);
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (failed) emit_status = first_error;
-    }
-    if (!emit_status.ok()) {
-      prefetcher.RequestStop();
-      queue.Abort();
-    }
-    try {
-      // Worker exceptions (including ones thrown past process_and_publish)
-      // surface here once — map them into the Status-carrying API instead of
-      // letting them escape Scan().
-      pool.Wait();
-    } catch (const std::exception& e) {
-      if (emit_status.ok()) {
-        emit_status =
-            Status::Internal(std::string("scan worker threw: ") + e.what());
-      }
-    } catch (...) {
-      if (emit_status.ok()) {
-        emit_status = Status::Internal("scan worker threw a non-std exception");
-      }
-    }
-    prefetcher.Join();
-    // The queue and prefetcher leave scope here; drop the unwind hook that
-    // captured them (nothing can fail() past this point anyway).
-    on_fail_unwind = nullptr;
-
-    stats.retries = prefetcher.retries();
-    stats.cache_hits = prefetcher.cache_hits();
-    stats.cache_misses = prefetcher.cache_misses();
-    stats.hedges = prefetcher.hedges();
-    stats.hedge_wins = prefetcher.hedge_wins();
-    stats.bytes_fetched = store_->total_bytes_fetched() - base_bytes;
-    stats.requests = store_->total_requests() - base_requests;
-  } else {
-    // ---- serviced: fetch/decode items on the service's shared executors ---
-    // Backpressure here is window tokens, not a bounded queue: this scan
-    // may have at most `window_tokens` parts in flight (submitted but not
-    // yet decoded); a bundle's decode returns its parts' tokens and pumps
-    // the next submissions. Tokens are only consumed before submitting,
-    // never while holding an executor thread, so service threads never
-    // block on another scan's progress (no cross-tenant head-of-line
-    // blocking). The window is clamped up to needed_count so a bundle can
-    // always assemble completely and release.
-    exec::RetryState job_retry(MakeRetryPolicy(spec.config));
-    exec::HedgeState job_hedge(MakeHedgePolicy(spec.config));
-    exec::StragglerSink job_stragglers;
-    std::condition_variable job_cv;  // backoff sleeps + quiesce (uses `mutex`)
-    u64 window_tokens = std::max<u64>(
-        std::max<u32>(1, spec.config.prefetch_depth), needed_count);
-    size_t next_request = 0;  // next index into `requests`; guarded by mutex
-    u64 outstanding = 0;      // submitted items not yet finished; guarded
-    std::atomic<u64> job_cache_hits{0};
-    std::atomic<u64> job_cache_misses{0};
-
-    on_fail_unwind = [&] { job_cv.notify_all(); };
-
-    // Interruptible retry backoff: sleeping on job_cv keeps the executor
-    // thread wakeable the moment the scan fails.
-    auto job_sleep = [&](u64 backoff_ns) {
-      std::unique_lock<std::mutex> lock(mutex);
-      job_cv.wait_for(lock, std::chrono::nanoseconds(backoff_ns),
-                      [&] { return failed; });
-      return !failed;
-    };
-    auto item_done = [&] {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (--outstanding == 0) job_cv.notify_all();
-    };
-
-    std::function<void()> pump;
-    std::function<void(u32, std::shared_ptr<Bundle>)> run_decode_item;
-    std::function<void(size_t)> run_fetch_item;
-
-    run_decode_item = [&](u32 b, std::shared_ptr<Bundle> bundle) {
-      bool bail;
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        bail = failed;
-      }
-      if (!bail) {
-        try {
-          process_and_publish(b, std::move(*bundle));
-        } catch (...) {
-          // A service executor thread must survive a throwing decode; map
-          // the exception into the scan's Status instead of rethrowing.
-          fail(Status::Internal("scan worker threw"));
-        }
-        {
-          std::lock_guard<std::mutex> lock(mutex);
-          window_tokens += needed_count;
-        }
-        pump();
-      }
-      item_done();
-    };
-
-    run_fetch_item = [&](size_t i) {
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (failed) {
-          if (--outstanding == 0) job_cv.notify_all();
-          return;
-        }
-      }
-      const exec::FetchRequest& request = requests[i];
-      exec::BlockCache::Payload payload;
-      Status status;
-      const bool cacheable = active_cache != nullptr && request.verify_crc;
-      if (cacheable) {
-        payload = active_cache->LookupShared(request.key, request.offset,
-                                             request.length);
-      }
-      if (payload != nullptr) {
-        // Shared-cache hit: the bundle references the cached buffer
-        // directly — zero copies, zero GETs.
-        job_cache_hits.fetch_add(1, std::memory_order_relaxed);
-        service_->RecordFetchOutcome(tenant_slot_, /*cache_hit=*/true,
-                                     /*bytes=*/0, /*gets=*/0,
-                                     /*hedged=*/false);
-        if (profile != nullptr) {
-          obs::FetchRecord record;
-          record.key = &request.key;
-          record.offset = request.offset;
-          record.length = request.length;
-          record.cacheable = true;
-          record.cache_hit = true;
-          profile->RecordFetch(record);
-        }
-      } else {
-        if (cacheable) {
-          job_cache_misses.fetch_add(1, std::memory_order_relaxed);
-        }
-        std::vector<u8> chunk;
-        bool hedged = false;
-        bool hedge_won = false;
-        exec::RetryOutcome outcome;
-        Timer get_timer;
-        {
-          BTR_TRACE_SPAN("scan.fetch");
-          // Same retry/hedge discipline as the standalone prefetcher, with
-          // one extra gate: a hedge must also fit the tenant's budget.
-          status = exec::RunWithRetries(
-              &job_retry,
-              [&] {
-                return exec::HedgedGet(
-                    store_, request.key, request.offset, request.length,
-                    &job_hedge, &job_stragglers, &chunk, &hedged, &hedge_won,
-                    [&] {
-                      return service_->TryAcquireTenantHedge(tenant_slot_);
-                    });
-              },
-              job_sleep, breaker, &outcome);
-        }
-        u64 attempts = outcome.attempts == 0 ? 1 : outcome.attempts;
-        u64 gets = attempts + (hedged ? 1 : 0);
-        job_requests.fetch_add(gets, std::memory_order_relaxed);
-        if (profile != nullptr) {
-          obs::FetchRecord record;
-          record.key = &request.key;
-          record.offset = request.offset;
-          record.length = request.length;
-          record.duration_ns = static_cast<u64>(get_timer.ElapsedNanos());
-          record.attempts = attempts;
-          record.retries = outcome.retries;
-          record.cacheable = cacheable;
-          record.hedged = hedged;
-          record.hedge_won = hedge_won;
-          record.breaker_rejected = outcome.breaker_rejected;
-          record.ok = status.ok();
-          profile->RecordFetch(record);
-        }
-        if (status.ok()) {
-          job_bytes_fetched.fetch_add(chunk.size(), std::memory_order_relaxed);
-          service_->RecordFetchOutcome(tenant_slot_, /*cache_hit=*/false,
-                                       chunk.size(), gets, hedged);
-          auto buffer = std::make_shared<ByteBuffer>();
-          buffer->Append(chunk.data(), chunk.size());
-          payload = std::move(buffer);
-          if (cacheable) {
-            // Verified admission under the tenant's cache-byte quota.
-            cache_insert(request.key, request.offset, request.length,
-                         chunk.data(), chunk.size(), request.expected_crc);
-          }
-        }
-      }
-      // Assemble the bundle (mirrors the standalone decode worker), then
-      // hand a completed one to the decode lane.
-      u32 b = static_cast<u32>(request.tag / needed_count);
-      u32 pos = static_cast<u32>(request.tag % needed_count);
-      std::shared_ptr<Bundle> complete;
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        if (failed) {
-          if (--outstanding == 0) job_cv.notify_all();
-          return;
-        }
-        Bundle& bundle = assembling[b];
-        if (bundle.parts.empty()) bundle.parts.resize(needed_count);
-        if (!status.ok() && bundle.error.ok()) bundle.error = status;
-        bundle.parts[pos] = std::move(payload);
-        if (++bundle.filled == needed_count) {
-          complete = std::make_shared<Bundle>(std::move(bundle));
-          assembling.erase(b);
-          outstanding++;  // the decode item submitted just below
-        }
-      }
-      if (complete != nullptr) {
-        u64 cost = 0;
-        for (const exec::BlockCache::Payload& part : complete->parts) {
-          if (part != nullptr) cost += part->size();
-        }
-        service_->SubmitDecode(tenant_slot_, cost, [&, b, complete] {
-          run_decode_item(b, complete);
-        });
-      }
-      item_done();
-    };
-
-    pump = [&] {
-      std::vector<size_t> to_submit;
-      {
-        std::lock_guard<std::mutex> lock(mutex);
-        while (!failed && window_tokens > 0 &&
-               next_request < requests.size()) {
-          window_tokens--;
-          outstanding++;
-          to_submit.push_back(next_request++);
-        }
-      }
-      for (size_t i : to_submit) {
-        service_->SubmitFetch(tenant_slot_, requests[i].length,
-                              [&, i] { run_fetch_item(i); });
-      }
-    };
-
-    pump();
-    emit_loop();
-
-    // --- unwind -------------------------------------------------------------
-    if (profile != nullptr) stage_timer.Enter(obs::ScanStage::kTeardown);
-    {
-      std::lock_guard<std::mutex> lock(mutex);
-      if (failed) emit_status = first_error;
-    }
-    job_cv.notify_all();
-    {
-      // Quiesce before returning: every submitted closure captures this
-      // stack frame, so Scan() must not return (or give back its admission
-      // slot) while one is still queued or running.
-      std::unique_lock<std::mutex> lock(mutex);
-      job_cv.wait(lock, [&] { return outstanding == 0; });
-    }
-    job_stragglers.Reap();
-    on_fail_unwind = nullptr;
-
-    stats.retries = job_retry.retries_granted();
-    stats.cache_hits = job_cache_hits.load(std::memory_order_relaxed);
-    stats.cache_misses = job_cache_misses.load(std::memory_order_relaxed);
-    stats.hedges = job_hedge.hedges_issued();
-    stats.hedge_wins = job_hedge.hedge_wins();
-    stats.bytes_fetched = job_bytes_fetched.load(std::memory_order_relaxed);
-    stats.requests = job_requests.load(std::memory_order_relaxed);
+  } catch (...) {
+    emit_exception = std::current_exception();
+    fail(Status::Internal("emit callback threw"));
   }
 
+  // --- unwind ---------------------------------------------------------------
+  if (profile != nullptr) stage_timer.Enter(obs::ScanStage::kTeardown);
+  Status emit_status;
+  {
+    // Quiesce: every submitted item captures this stack frame, so Scan()
+    // must not return, rethrow, or give back its admission slot while one
+    // is still queued or running.
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return outstanding == 0; });
+    if (failed) emit_status = first_error;
+  }
+  stragglers.Reap();
+  if (emit_exception != nullptr) std::rethrow_exception(emit_exception);
+
+  stats.retries = retry.retries_granted();
+  stats.cache_hits = cache_hits.load(std::memory_order_relaxed);
+  stats.cache_misses = cache_misses.load(std::memory_order_relaxed);
+  stats.hedges = hedge.hedges_issued();
+  stats.hedge_wins = hedge.hedge_wins();
+  stats.requests = get_count.load(std::memory_order_relaxed);
+  stats.bytes_fetched =
+      get_bytes.load(std::memory_order_relaxed) + stragglers.bytes();
   if (breaker != nullptr) {
     // Deltas, because a service-shared breaker's counters also move under
     // other tenants' scans (exact standalone, approximate serviced).
@@ -1203,12 +1137,12 @@ Status Scanner::Scan(const ScanSpec& spec, ScanOutput* out) {
   out->block_outcomes.assign(resolved.row_blocks, BlockOutcome::kDecoded);
   out->block_selections.assign(resolved.row_blocks, RoaringBitmap());
 
-  bool has_predicates = !spec.predicates.empty() || !spec.filter.Empty();
+  const bool has_filter = !spec.filter.Empty();
   Status status = Scan(
       spec,
-      [out, has_predicates](ColumnChunk&& chunk) {
+      [out, has_filter](ColumnChunk&& chunk) {
         out->block_outcomes[chunk.block] = chunk.outcome;
-        if (chunk.column == 0 && has_predicates &&
+        if (chunk.column == 0 && has_filter &&
             chunk.outcome == BlockOutcome::kDecoded) {
           out->block_selections[chunk.block] = std::move(chunk.selection);
         }

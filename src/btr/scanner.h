@@ -3,19 +3,27 @@
 // deployment, Sections 2.1 and 6.7).
 //
 // The engine is a real pipeline, not the analytic core-count model of
-// s3sim::SimulateScan:
+// s3sim::SimulateScan. One engine serves both kinds of Scanner:
 //
 //   zone maps ──► prune row blocks that cannot match (never fetched)
-//   prefetcher ─► fetch_threads issue ranged GETs ahead of consumption
-//                 into a bounded queue (backpressure at prefetch_depth)
-//   decoders ───► scan_threads pop blocks, evaluate predicates on the
-//                 *compressed* form (SelectMatches → selection vectors),
+//   fetch items ► one ranged GET per (row block, column) part, at most
+//                 prefetch_depth + needed columns - 1 parts in flight
+//   decode items► one per complete row block: validate, evaluate the
+//                 filter on the *compressed* form (selection vectors),
 //                 decompress only blocks whose selection is non-empty
 //   emitter ────► chunks surface on the calling thread in block order
 //
+// Only the executors differ: a standalone Scanner runs the items on two
+// private pools (fetch_threads and scan_threads threads, kept across
+// Scan() calls); a serviced Scanner runs them on the ScanService's shared
+// executors.
+//
 // API contract (this is the Status-carrying redesign):
-//   - Scan() never throws; worker-thread failures — including exceptions
-//     propagated through exec::ThreadPool::Wait() — surface as a Status.
+//   - Scan() never throws on its own; failures on executor threads,
+//     exceptions included, surface as a Status. The one exception is the
+//     caller's: when the `emit` callback throws, the scan fails, waits
+//     until none of its items is queued or running, and rethrows that
+//     exception unchanged.
 //   - Transient object-store failures (Status::Throttled/Unavailable) are
 //     retried per the ScanConfig retry knobs with interruptible backoff;
 //     a permanently unreadable block either fails the scan with a typed
@@ -75,9 +83,6 @@ struct ScanSpec {
   // into the output. Integer literals against double columns are coerced.
   // Empty = no filtering.
   PredicateExpr filter;
-  // Deprecated: single predicates, ANDed with `filter`. Kept so existing
-  // call sites (and btrtool's --eq-int style flags) keep compiling.
-  std::vector<Predicate> predicates;
   ScanConfig config;
 };
 
@@ -124,8 +129,12 @@ struct ScanStats {
   u32 blocks_decoded = 0;      // row blocks that reached decompression
   u32 blocks_unreadable = 0;   // degraded mode: blocks skipped as unreadable
   u64 rows_matched = 0;        // rows passing every predicate
-  u64 bytes_fetched = 0;       // compressed bytes GET'd (headers included)
-  u64 requests = 0;            // GET requests issued
+  // GETs this scan sent to the store — retries, hedge duplicates and CRC
+  // re-fetches included, breaker fast-fails (no GET) excluded — and the
+  // payload bytes the successful ones returned. Exact under concurrent
+  // scans of the same store.
+  u64 bytes_fetched = 0;
+  u64 requests = 0;
   u64 retries = 0;             // transient-failure retries granted
   u64 cache_hits = 0;          // block fetches served from the block cache
   u64 cache_misses = 0;        // cacheable fetches that had to GET
@@ -185,7 +194,7 @@ Status UploadCompressedRelation(const CompressedRelation& relation,
 
 class Scanner {
  public:
-  // Standalone scanner: private pipeline, private cache/breaker.
+  // Standalone scanner: private fetch/decode pools, private cache/breaker.
   // `prefix` is the object key prefix the table was uploaded under.
   Scanner(s3sim::ObjectStore* store, std::string table_name,
           std::string prefix = "",
@@ -196,8 +205,8 @@ class Scanner {
   // and Scan() passes admission control first — a saturated service or an
   // over-quota tenant surfaces as typed Status::Throttled (transient, so
   // callers can wrap Scan in exec::RunWithRetries). The per-scan
-  // ScanConfig cache/breaker knobs are ignored in this mode; retry and
-  // hedging policy stay per-scan. `service` must outlive the Scanner.
+  // ScanConfig cache/breaker/thread knobs are ignored in this mode; retry
+  // and hedging policy stay per-scan. `service` must outlive the Scanner.
   Scanner(service::ScanService& service, const std::string& tenant_id,
           s3sim::ObjectStore* store, std::string table_name,
           std::string prefix = "",
@@ -233,9 +242,6 @@ class Scanner {
   struct ResolvedSpec;
 
   Status ResolveSpec(const ScanSpec& spec, ResolvedSpec* resolved) const;
-  // Standalone decode pool, created on first use and reused across Scan()
-  // calls (recreated only when the requested thread count changes).
-  exec::ThreadPool& EnsureDecodePool(u32 threads);
 
   s3sim::ObjectStore* store_;
   std::string table_name_;
@@ -261,10 +267,10 @@ class Scanner {
   // the same Scanner hit it; entries are keyed by exact GET identity and
   // admitted only after CRC verification (exec/block_cache.h).
   std::unique_ptr<exec::BlockCache> block_cache_;
-  // Standalone decode workers, persistent across Scan() calls so repeated
+  // Standalone executors, persistent across Scan() calls so repeated
   // scans stop paying thread create/join churn per call.
+  std::unique_ptr<exec::ThreadPool> fetch_pool_;
   std::unique_ptr<exec::ThreadPool> decode_pool_;
-  u32 decode_pool_threads_ = 0;
   // Serviced mode (null/unused for standalone scanners).
   service::ScanService* service_ = nullptr;
   u32 tenant_slot_ = 0;

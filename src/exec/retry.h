@@ -12,8 +12,8 @@
 // Scanner::Open's metadata GETs): the budget is scan-wide and the jitter
 // stream is seeded, so a given schedule of failures backs off the same
 // way every run. Backoff sleeps go through a caller-supplied SleepFn so
-// the prefetcher can make them interruptible — an aborting pipeline must
-// not wait out a pending backoff (exec/pipeline.h).
+// the scanner can make them interruptible — an aborting scan must not
+// wait out a pending backoff.
 //
 // Accounting discipline: a retry only *counts* once its backoff sleep
 // completed and the next attempt is actually going to happen. NextBackoff
@@ -28,7 +28,8 @@
 // quantile of its peers, issue one duplicate GET and take whichever
 // response arrives first. HedgeState tracks recent `s3.get` latencies in a
 // ring, arms once min_samples are in, and caps total hedges per scan with
-// hedge_budget. The prefetcher owns the mechanics (exec/pipeline.h).
+// hedge_budget. HedgedGet issues the duplicate and StragglerSink reaps
+// the losing primary's thread.
 //
 // --- circuit breaker (CircuitBreakerPolicy / CircuitBreaker) ----------------
 // Past an error-rate threshold over a sliding outcome window the breaker
@@ -39,14 +40,21 @@
 #ifndef BTR_EXEC_RETRY_H_
 #define BTR_EXEC_RETRY_H_
 
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <mutex>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/random.h"
 #include "util/status.h"
 #include "util/types.h"
+
+namespace btr::s3sim {
+class ObjectStore;  // s3sim/object_store.h
+}  // namespace btr::s3sim
 
 namespace btr::exec {
 
@@ -147,6 +155,77 @@ class HedgeState {
   u64 hedges_ = 0;
   u64 wins_ = 0;
 };
+
+// Holds hedge-loser threads whose GET result was discarded until someone
+// reaps them. A hedged GET that wins the race abandons the straggling
+// primary's thread; it must still be joined before the object store goes
+// away. The bytes a parked primary's GET returns are added to bytes(), so
+// a scan can account for every byte its GETs moved. Thread-safe; the
+// destructor reaps anything left.
+class StragglerSink {
+ public:
+  StragglerSink() = default;
+  ~StragglerSink() { Reap(); }
+
+  StragglerSink(const StragglerSink&) = delete;
+  StragglerSink& operator=(const StragglerSink&) = delete;
+
+  void Park(std::thread t) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    threads_.push_back(std::move(t));
+  }
+
+  // Joins every parked thread. Safe to call repeatedly and concurrently
+  // with Park (threads parked during a Reap are caught by the next one).
+  void Reap() {
+    std::vector<std::thread> taken;
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      taken.swap(threads_);
+    }
+    for (std::thread& t : taken) {
+      if (t.joinable()) t.join();
+    }
+  }
+
+  void AddBytes(u64 bytes) {
+    bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  }
+  // Payload bytes returned to parked primaries; complete once reaped.
+  u64 bytes() const { return bytes_.load(std::memory_order_relaxed); }
+
+ private:
+  std::mutex mutex_;
+  std::vector<std::thread> threads_;
+  std::atomic<u64> bytes_{0};
+};
+
+// What the GETs behind HedgedGet calls cost, accumulated across calls so
+// a retry wrapper can pass one tally to every attempt: each GET sent to
+// the store (primaries and duplicates) and the payload bytes the ones
+// that succeeded returned. A parked straggler's bytes arrive later, in
+// its StragglerSink.
+struct GetTally {
+  u64 gets = 0;
+  u64 hedges = 0;  // duplicate GETs among `gets`
+  u64 bytes = 0;
+  bool hedge_won = false;
+};
+
+// One GET, hedged when `hedge`'s latency tracker says the primary is
+// overdue: the primary runs on its own thread, and if it outlives the
+// quantile threshold one duplicate is issued on the calling thread; the
+// first response wins. A losing primary's thread is parked in
+// `stragglers` (the caller reaps it after the scan quiesces).
+// `hedge_gate`, when set, is consulted before the duplicate is issued
+// (after the overdue check, before the hedge budget is consumed) —
+// ScanService uses it for per-tenant hedge quotas; a denial silently
+// degrades to waiting out the primary.
+Status HedgedGet(s3sim::ObjectStore* store, const std::string& key,
+                 u64 offset, u64 length, HedgeState* hedge,
+                 StragglerSink* stragglers, std::vector<u8>* out,
+                 GetTally* tally,
+                 const std::function<bool()>& hedge_gate = nullptr);
 
 // --- circuit breaker --------------------------------------------------------
 

@@ -60,7 +60,7 @@ const char* ScanStageName(ScanStage stage);
 // with each other and with the calling thread's stages.
 enum class ScanActivity : u32 {
   kGet = 0,           // ranged GETs (retries and hedges included)
-  kPrefetchWait = 1,  // decode workers blocked on the bounded queue
+  kPrefetchWait = 1,  // fetch items queued before a fetch executor ran them
   kValidate = 2,      // size + CRC32C + structural validation
   kPredicate = 3,     // compressed-form predicate evaluation
   kDecode = 4,        // block decompression
@@ -130,7 +130,7 @@ struct ScanProfile {
   HistogramSnapshot get_latency;  // per-GET nanoseconds, log2 buckets
 
   // Per-request outcome tallies (one GET request = one unit).
-  u64 requests = 0;        // GETs the prefetcher resolved (cache hits incl.)
+  u64 requests = 0;        // parts the scan resolved (cache hits incl.)
   u64 cache_hits = 0;
   u64 cache_misses = 0;
   u64 retried_requests = 0;  // requests that needed more than one attempt
@@ -160,7 +160,7 @@ struct ScanProfile {
   std::string ToJson() const;
 };
 
-// What the prefetcher reports for one resolved fetch request.
+// What a fetch item reports for one resolved fetch request.
 struct FetchRecord {
   const std::string* key = nullptr;  // not owned; copied if it makes the ring
   u64 offset = 0;

@@ -1,7 +1,7 @@
 // btr::service::ScanService — process-wide resources for concurrent scans.
 //
 // Every standalone btr::Scanner is an island: a private block cache, a
-// private circuit breaker, fresh decode threads per Scan(). Correct for
+// private circuit breaker, private fetch/decode pools. Correct for
 // one client, wrong for many — the paper's premise (§2.1/§6.7) is that
 // GETs and CPU scheduling *are* the scan cost, so a multi-tenant
 // deployment wins by sharing exactly those. One ScanService per process
@@ -24,8 +24,8 @@
 //     budget, cache bytes) and per-tenant obs counters:
 //       service.tenant.<id>.gets / .hits / .queued_ns / .rejected
 //
-// Scanners attach via Scanner(service, tenant_id, ...); the standalone
-// Scanner constructor keeps its private per-scan pipeline, unchanged.
+// Scanners attach via Scanner(service, tenant_id, ...); both kinds of
+// Scanner run the same scan engine, only on different executors.
 //
 // Threading: all methods are thread-safe. Destroy the service only after
 // every serviced Scan() call has returned (checked).

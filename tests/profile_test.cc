@@ -19,6 +19,7 @@
 #include "obs/profile.h"
 #include "s3sim/fault.h"
 #include "s3sim/object_store.h"
+#include "service/scan_service.h"
 
 // Global allocation counter for the zero-cost-when-disabled test. This
 // test binary replaces global new/delete (malloc-backed, so new/free
@@ -249,7 +250,7 @@ TEST(ProfileTest, WarmCacheTalliesMatchScanStats) {
 
 // Hedged GETs: one targeted latency spike with an aggressive hedge
 // threshold forces a hedge; the profile's hedge tallies must equal the
-// prefetcher's ScanStats counters.
+// scan's ScanStats counters.
 TEST(ProfileTest, HedgeTalliesMatchScanStats) {
   Fixture f;
   Scanner scanner(&f.store, "profile_table", "lake/");
@@ -309,6 +310,30 @@ TEST(ProfileTest, CrcRefetchTalliesMatchScanStats) {
   EXPECT_EQ(output.stats.crc_rescues, 1u);
   EXPECT_EQ(profile.crc_refetched_blocks, output.stats.crc_refetches);
   EXPECT_EQ(profile.crc_rescued_blocks, output.stats.crc_rescues);
+}
+
+// prefetch_wait is the time fetch items queue before a fetch executor
+// starts them, recorded the same way whichever executors run the scan:
+// a serviced scan reports one sample per fetch item, like a standalone one.
+TEST(ProfileTest, ServicedScanRecordsPrefetchWait) {
+  Fixture f;
+  service::ScanServiceConfig service_config;
+  service_config.fetch_threads = 2;
+  service_config.decode_threads = 2;
+  service::ScanService service(service_config);
+  Scanner serviced(service, "tenant", &f.store, "profile_table", "lake/");
+  ASSERT_TRUE(serviced.Open().ok());
+  Scanner standalone(&f.store, "profile_table", "lake/");
+  ASSERT_TRUE(standalone.Open().ok());
+
+  const u32 wait_idx = static_cast<u32>(obs::ScanActivity::kPrefetchWait);
+  for (Scanner* scanner : {&serviced, &standalone}) {
+    ScanOutput output;
+    ASSERT_TRUE(scanner->Scan(ProfileSpec(), &output).ok());
+    ASSERT_NE(output.stats.profile, nullptr);
+    EXPECT_EQ(output.stats.profile->activities[wait_idx].count, 6u)
+        << "one sample per fetch item: 2 row blocks x 3 columns";
+  }
 }
 
 // The slow-op exemplar ring is bounded by ScanConfig::profile_slow_ops

@@ -457,6 +457,44 @@ TEST(ScanServiceTest, CacheByteQuotaSkipsInsertsButScanStaysCorrect) {
   EXPECT_GT(again.stats.requests, 0u);
 }
 
+// A backend that is down trips the service's shared breaker. Requests it
+// fails fast never reach the store, so ScanStats::requests must count
+// exactly the GETs the store saw — not one per fast-failed request.
+TEST(ScanServiceTest, BreakerFastFailsAreNotCountedAsGets) {
+  Fixture f;
+  service::ScanServiceConfig config = SmallServiceConfig();
+  config.breaker.window = 8;
+  config.breaker.min_samples = 4;
+  config.breaker.failure_threshold = 0.5;
+  config.breaker.cooldown_ns = 10ull * 1000 * 1000 * 1000;  // outlives the scan
+  service::ScanService service(config);
+  Scanner scanner(service, "tenant", &f.store, "svc_table", "lake/");
+  ASSERT_TRUE(scanner.Open().ok());
+
+  s3sim::FaultPlan down;
+  down.seed = 11;
+  s3sim::FaultRule unavailable;
+  unavailable.kind = s3sim::FaultKind::kUnavailable;
+  unavailable.probability = 1.0;  // every GET fails
+  down.rules.push_back(unavailable);
+  f.store.InstallFaultPlan(down);
+
+  ScanSpec spec = FastSpec();
+  spec.config.skip_unreadable_blocks = true;
+  spec.config.max_attempts = 2;
+  const u64 before = f.store.total_requests();
+  ScanOutput output;
+  Status status = scanner.Scan(spec, &output);
+  const u64 store_gets = f.store.total_requests() - before;
+  f.store.ClearFaultPlan();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(output.stats.blocks_unreadable, output.stats.row_blocks);
+  EXPECT_GE(output.stats.breaker_fast_failures, 1u)
+      << "the test must exercise the fast-fail path";
+  EXPECT_EQ(output.stats.requests, store_gets);
+  EXPECT_EQ(output.stats.bytes_fetched, 0u);
+}
+
 // --- fairness ---------------------------------------------------------------
 
 // A hog floods the service from several threads while a light tenant runs

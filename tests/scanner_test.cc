@@ -4,8 +4,12 @@
 // block, and surface poisoned blocks as a Status instead of crashing.
 #include "btr/scanner.h"
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -13,6 +17,7 @@
 
 #include "btr/btrblocks.h"
 #include "btr/predicate.h"
+#include "service/scan_service.h"
 #include "write/manifest.h"
 
 namespace btr {
@@ -143,7 +148,7 @@ TEST(ScannerTest, PredicateScanPrunesAndMatchesSequentialFilter) {
   const i32 probe = 1500;
   ScanSpec spec = PipelinedSpec();
   spec.columns = {"id", "price"};
-  spec.predicates.push_back(Predicate::EqualsInt("id", probe));
+  spec.filter = Predicate::EqualsInt("id", probe);
 
   ScanOutput output;
   Status status = scanner.Scan(spec, &output);
@@ -182,7 +187,7 @@ TEST(ScannerTest, PredicateOnNonProjectedColumnFiltersProjection) {
 
   ScanSpec spec = PipelinedSpec();
   spec.columns = {"price"};  // predicate column not projected
-  spec.predicates.push_back(Predicate::EqualsString("city", "bonn"));
+  spec.filter = Predicate::EqualsString("city", "bonn");
 
   ScanOutput output;
   Status status = scanner.Scan(spec, &output);
@@ -218,7 +223,7 @@ TEST(ScannerTest, EmptySelectionSkipsDecompression) {
   // within [0, 1023.75] but i%4096*0.25 only produces multiples of 0.25.
   ScanSpec spec = PipelinedSpec();
   spec.columns = {"id"};
-  spec.predicates.push_back(Predicate::EqualsDouble("price", 0.125));
+  spec.filter = Predicate::EqualsDouble("price", 0.125);
 
   ScanOutput output;
   Status status = scanner.Scan(spec, &output);
@@ -269,11 +274,11 @@ TEST(ScannerTest, SpecErrorsAreStatuses) {
 
   // Integer literals against double columns are coerced, not rejected.
   ScanSpec coerced = PipelinedSpec();
-  coerced.predicates.push_back(Predicate::EqualsInt("price", 3));
+  coerced.filter = Predicate::EqualsInt("price", 3);
   EXPECT_TRUE(scanner.Scan(coerced, &output).ok());
 
   ScanSpec mismatch = PipelinedSpec();
-  mismatch.predicates.push_back(Predicate::EqualsString("id", "nope"));
+  mismatch.filter = Predicate::EqualsString("id", "nope");
   EXPECT_EQ(scanner.Scan(mismatch, &output).code(),
             Status::Code::kInvalidArgument);
 
@@ -346,6 +351,110 @@ TEST(ScannerTest, EmittedRowBeginMatchesBlockTimesCapacity) {
       nullptr);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_EQ(chunks, 3u * 3u);  // 3 blocks x 3 columns
+}
+
+// The caller's own exception type, so the tests can tell it was rethrown
+// unchanged rather than replaced.
+struct EmitError : std::runtime_error {
+  EmitError() : std::runtime_error("emit refused the chunk") {}
+};
+
+// A callback that throws on the first chunk fails the scan. Scan() must
+// wait until none of its fetch/decode items is queued or running (they
+// all reference Scan()'s stack frame) and then rethrow the exception
+// unchanged; the scanner stays usable afterwards.
+void ExpectThrowingEmitUnwindsCleanly(Scanner* scanner) {
+  ASSERT_TRUE(scanner->Open().ok());
+  ScanSpec spec = PipelinedSpec();
+  for (int round = 0; round < 3; round++) {
+    ScanStats stats;
+    EXPECT_THROW(scanner->Scan(
+                     spec, [](ColumnChunk&&) { throw EmitError(); }, &stats),
+                 EmitError);
+  }
+  ScanOutput output;
+  Status status = scanner->Scan(spec, &output);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(output.stats.blocks_decoded, 3u);
+}
+
+TEST(ScannerTest, ThrowingEmitRethrowsAfterQuiesceStandalone) {
+  Fixture f;
+  Scanner scanner(&f.store, "scan_table", "lake/");
+  ExpectThrowingEmitUnwindsCleanly(&scanner);
+}
+
+TEST(ScannerTest, ThrowingEmitRethrowsAfterQuiesceServiced) {
+  Fixture f;
+  service::ScanServiceConfig config;
+  config.fetch_threads = 2;
+  config.decode_threads = 2;
+  service::ScanService service(config);
+  {
+    Scanner scanner(service, "tenant", &f.store, "scan_table", "lake/");
+    ExpectThrowingEmitUnwindsCleanly(&scanner);
+  }
+  // Every throwing scan gave its admission slot back.
+  EXPECT_EQ(service.running_scans(), 0u);
+  EXPECT_EQ(service.GetTenantStats("tenant").scans_completed, 4u);
+}
+
+// ScanStats::requests / bytes_fetched count this scan's own GETs, so two
+// scans of one store at the same time each report what a solo scan
+// does. The callbacks meet at a barrier on their first chunk, which makes
+// the two scans overlap in time: store-wide deltas would count the other
+// scan's GETs too.
+TEST(ScannerTest, ConcurrentScansReportOnlyTheirOwnGets) {
+  Fixture f;
+  ScanStats solo;
+  {
+    Scanner scanner(&f.store, "scan_table", "lake/");
+    ASSERT_TRUE(scanner.Open().ok());
+    u64 before = f.store.total_requests();
+    u64 bytes_before = f.store.total_bytes_fetched();
+    ASSERT_TRUE(scanner.Scan(PipelinedSpec(), [](ColumnChunk&&) {}, &solo)
+                    .ok());
+    EXPECT_EQ(solo.requests, f.store.total_requests() - before);
+    EXPECT_EQ(solo.bytes_fetched, f.store.total_bytes_fetched() - bytes_before);
+    ASSERT_EQ(solo.requests, 9u) << "3 row blocks x 3 columns";
+  }
+
+  std::atomic<int> arrived{0};
+  auto meet = [&arrived] {
+    arrived.fetch_add(1);
+    auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (arrived.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+  };
+  ScanStats stats[2];
+  Status statuses[2];
+  std::vector<std::thread> threads;
+  for (int i = 0; i < 2; i++) {
+    threads.emplace_back([&, i] {
+      Scanner scanner(&f.store, "scan_table", "lake/");
+      statuses[i] = scanner.Open();
+      if (!statuses[i].ok()) {
+        arrived.fetch_add(1);
+        return;
+      }
+      bool first = true;
+      statuses[i] = scanner.Scan(
+          PipelinedSpec(),
+          [&](ColumnChunk&&) {
+            if (first) meet();
+            first = false;
+          },
+          &stats[i]);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  ASSERT_EQ(arrived.load(), 2);
+  for (int i = 0; i < 2; i++) {
+    ASSERT_TRUE(statuses[i].ok()) << statuses[i].ToString();
+    EXPECT_EQ(stats[i].requests, solo.requests) << "scan " << i;
+    EXPECT_EQ(stats[i].bytes_fetched, solo.bytes_fetched) << "scan " << i;
+  }
 }
 
 }  // namespace
