@@ -11,7 +11,11 @@ namespace btr {
 namespace {
 
 constexpr char kColumnMagic[4] = {'B', 'T', 'R', 'C'};
-constexpr char kMetaMagic[4] = {'B', 'T', 'R', 'M'};
+constexpr char kMetaMagicV1[4] = {'B', 'T', 'R', 'M'};
+constexpr char kMetaMagic[4] = {'B', 'T', 'M', '2'};
+// Smallest per-column record in a meta: name_len, type,
+// uncompressed_bytes and block_count with an empty name and no blocks.
+constexpr size_t kMinColumnMetaBytes = 2 + 1 + 8 + 4;
 
 struct FileCloser {
   void operator()(std::FILE* f) const {
@@ -57,7 +61,26 @@ struct Reader {
     remaining -= n;
     return true;
   }
+
+  // Reads `count` u32s into `out`. The count comes from untrusted bytes,
+  // so it is checked against what is left before anything is allocated.
+  bool ReadU32s(u32 count, std::vector<u32>* out) {
+    if (count > remaining / sizeof(u32)) return false;
+    out->resize(count);
+    return Read(out->data(), count * sizeof(u32));
+  }
 };
+
+// Per-block payload sizes and CRC32Cs of an in-memory column.
+void ColumnFraming(const CompressedColumn& column, std::vector<u32>* sizes,
+                   std::vector<u32>* crcs) {
+  sizes->reserve(column.blocks.size());
+  crcs->reserve(column.blocks.size());
+  for (const ByteBuffer& block : column.blocks) {
+    sizes->push_back(static_cast<u32>(block.size()));
+    crcs->push_back(Crc32c(block.data(), block.size()));
+  }
+}
 
 std::string ColumnPath(const std::string& directory, const std::string& table,
                        size_t column_index) {
@@ -83,21 +106,43 @@ std::string ZoneMapKey(const std::string& prefix, const std::string& table) {
   return prefix + table + ".zones";
 }
 
-void SerializeTableMeta(const CompressedRelation& relation, ByteBuffer* out) {
+void SerializeTableMeta(const TableMeta& meta, ByteBuffer* out) {
   size_t start = out->size();
   out->Append(kMetaMagic, 4);
-  out->AppendValue<u32>(static_cast<u32>(relation.columns.size()));
-  out->AppendValue<u32>(relation.row_count);
-  for (const CompressedColumn& column : relation.columns) {
+  out->AppendValue<u32>(static_cast<u32>(meta.columns.size()));
+  out->AppendValue<u32>(meta.row_count);
+  for (const TableMeta::ColumnMeta& column : meta.columns) {
     out->AppendValue<u16>(static_cast<u16>(column.name.size()));
     out->Append(column.name.data(), column.name.size());
     out->AppendValue<u8>(static_cast<u8>(column.type));
     out->AppendValue<u64>(column.uncompressed_bytes);
-    out->AppendValue<u32>(static_cast<u32>(column.blocks.size()));
+    const size_t block_count = column.block_value_counts.size();
+    BTR_CHECK_MSG(column.block_sizes.size() == block_count &&
+                      column.block_crcs.size() == block_count,
+                  "meta framing needs one size and one CRC per block");
+    out->AppendValue<u32>(static_cast<u32>(block_count));
     out->Append(column.block_value_counts.data(),
                 column.block_value_counts.size() * sizeof(u32));
+    out->Append(column.block_sizes.data(),
+                column.block_sizes.size() * sizeof(u32));
+    out->Append(column.block_crcs.data(),
+                column.block_crcs.size() * sizeof(u32));
   }
   out->AppendValue<u32>(Crc32c(out->data() + start, out->size() - start));
+}
+
+void SerializeTableMeta(const CompressedRelation& relation, ByteBuffer* out) {
+  TableMeta meta;
+  meta.row_count = relation.row_count;
+  for (const CompressedColumn& column : relation.columns) {
+    TableMeta::ColumnMeta& cm = meta.columns.emplace_back();
+    cm.name = column.name;
+    cm.type = column.type;
+    cm.uncompressed_bytes = column.uncompressed_bytes;
+    cm.block_value_counts = column.block_value_counts;
+    ColumnFraming(column, &cm.block_sizes, &cm.block_crcs);
+  }
+  SerializeTableMeta(meta, out);
 }
 
 Status ParseTableMeta(const u8* data, size_t size, TableMeta* out) {
@@ -112,12 +157,20 @@ Status ParseTableMeta(const u8* data, size_t size, TableMeta* out) {
   size -= 4;
   Reader r{data, size};
   char magic[4];
-  if (!r.Read(magic, 4) || std::memcmp(magic, kMetaMagic, 4) != 0) {
+  if (!r.Read(magic, 4)) return Status::Corruption("bad metadata magic");
+  if (std::memcmp(magic, kMetaMagic, 4) == 0) {
+    out->has_block_framing = true;
+  } else if (std::memcmp(magic, kMetaMagicV1, 4) == 0) {
+    out->has_block_framing = false;
+  } else {
     return Status::Corruption("bad metadata magic");
   }
   u32 column_count;
   if (!r.Read(&column_count, 4) || !r.Read(&out->row_count, 4)) {
     return Status::Corruption("truncated metadata header");
+  }
+  if (column_count > r.remaining / kMinColumnMetaBytes) {
+    return Status::Corruption("metadata column count exceeds its bytes");
   }
   out->columns.clear();
   out->columns.resize(column_count);
@@ -135,9 +188,13 @@ Status ParseTableMeta(const u8* data, size_t size, TableMeta* out) {
     if (!r.Read(&column.uncompressed_bytes, 8) || !r.Read(&block_count, 4)) {
       return Status::Corruption("truncated metadata");
     }
-    column.block_value_counts.resize(block_count);
-    if (!r.Read(column.block_value_counts.data(), block_count * sizeof(u32))) {
+    if (!r.ReadU32s(block_count, &column.block_value_counts)) {
       return Status::Corruption("truncated metadata");
+    }
+    if (out->has_block_framing &&
+        (!r.ReadU32s(block_count, &column.block_sizes) ||
+         !r.ReadU32s(block_count, &column.block_crcs))) {
+      return Status::Corruption("truncated metadata block framing");
     }
   }
   return Status::Ok();
@@ -157,12 +214,7 @@ void SerializeColumnFileHeader(const std::vector<u32>& block_sizes,
 void SerializeColumnFile(const CompressedColumn& column, ByteBuffer* out) {
   std::vector<u32> sizes;
   std::vector<u32> crcs;
-  sizes.reserve(column.blocks.size());
-  crcs.reserve(column.blocks.size());
-  for (const ByteBuffer& block : column.blocks) {
-    sizes.push_back(static_cast<u32>(block.size()));
-    crcs.push_back(Crc32c(block.data(), block.size()));
-  }
+  ColumnFraming(column, &sizes, &crcs);
   SerializeColumnFileHeader(sizes, crcs, out);
   for (const ByteBuffer& block : column.blocks) {
     out->Append(block.data(), block.size());
@@ -181,14 +233,12 @@ Status ParseColumnFileHeader(const u8* data, size_t size,
   if (!r.Read(&block_count, 4)) {
     return Status::Corruption("truncated column header");
   }
-  block_sizes->resize(block_count);
-  if (!r.Read(block_sizes->data(), block_count * sizeof(u32))) {
+  if (!r.ReadU32s(block_count, block_sizes)) {
     return Status::Corruption("truncated column block sizes");
   }
   std::vector<u32> local_crcs;
   std::vector<u32>& crcs = block_crcs != nullptr ? *block_crcs : local_crcs;
-  crcs.resize(block_count);
-  if (!r.Read(crcs.data(), block_count * sizeof(u32))) {
+  if (!r.ReadU32s(block_count, &crcs)) {
     return Status::Corruption("truncated column block CRCs");
   }
   u32 stored_crc;

@@ -17,10 +17,17 @@
 //              CRC covers one block's bytes, so a reader that ranged-GETs
 //              a single block can verify it against the already-fetched
 //              header without touching the rest of the object.
-// Metadata:    "BTRM" | u32 column_count | u32 row_count | per column:
+// Metadata:    "BTM2" | u32 column_count | u32 row_count | per column:
 //              u16 name_len | name | u8 type | u64 uncompressed_bytes |
-//              u32 block_count | block_count * u32 value_counts
+//              u32 block_count | block_count * u32 value_counts |
+//              block_count * u32 payload sizes |
+//              block_count * u32 payload CRC32Cs
 //              | trailing u32 CRC32C over all preceding bytes.
+//              The sizes and CRCs repeat the column headers' framing, so a
+//              reader opens a table from the metadata alone and GETs only
+//              the block payloads of the columns it reads.
+//              Version 1 ("BTRM") lacks the sizes and CRCs; it is still
+//              read, and its framing then comes from the column headers.
 #ifndef BTR_BTR_FILE_FORMAT_H_
 #define BTR_BTR_FILE_FORMAT_H_
 
@@ -48,8 +55,14 @@ struct TableMeta {
     ColumnType type;
     u64 uncompressed_bytes;
     std::vector<u32> block_value_counts;
+    // Per-block payload byte sizes and CRC32Cs — the column header's
+    // framing. Empty after parsing a version-1 meta.
+    std::vector<u32> block_sizes;
+    std::vector<u32> block_crcs;
   };
   std::vector<ColumnMeta> columns;
+  // False only for a parsed version-1 meta, which carries no framing.
+  bool has_block_framing = true;
 };
 Status ReadTableMeta(const std::string& directory,
                      const std::string& table_name, TableMeta* out);
@@ -64,9 +77,16 @@ Status ReadCompressedColumn(const std::string& directory,
 // --- in-memory framing -------------------------------------------------------
 // The same byte layouts the files use, exposed buffer-to-buffer so tables
 // can live in an object store: btr::Scanner uploads column files as
-// objects and reads them back with ranged GETs (header first, then only
-// the block payloads that survive zone-map pruning).
+// objects and reads them back with ranged GETs: the metadata carries
+// every block's size and CRC, so only the block payloads that survive
+// zone-map pruning are fetched.
+//
+// Always writes version 2. Each column's block_value_counts, block_sizes
+// and block_crcs must have one entry per block.
+void SerializeTableMeta(const TableMeta& meta, ByteBuffer* out);
+// The metadata of an in-memory relation, framing computed from its blocks.
 void SerializeTableMeta(const CompressedRelation& relation, ByteBuffer* out);
+// Accepts both versions; see TableMeta::has_block_framing.
 Status ParseTableMeta(const u8* data, size_t size, TableMeta* out);
 
 void SerializeColumnFile(const CompressedColumn& column, ByteBuffer* out);

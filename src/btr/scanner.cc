@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <exception>
 #include <functional>
+#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -174,48 +175,72 @@ Status Scanner::Open(const ScanConfig& config) {
   if (!store_->Contains(meta_key)) {
     return Status::NotFound("table metadata object missing: " + meta_key);
   }
-  u64 object_size = 0;
-  BTR_RETURN_IF_ERROR(store_->ObjectSize(meta_key, &object_size));
-  std::vector<u8> blob;
-  BTR_RETURN_IF_ERROR(fetch(meta_key, object_size, &blob));
-  BTR_RETURN_IF_ERROR(ParseTableMeta(blob.data(), blob.size(), &meta_));
+  auto fetch_object = [&](const std::string& key, std::vector<u8>* out) {
+    u64 object_size = 0;
+    BTR_RETURN_IF_ERROR(store_->ObjectSize(key, &object_size));
+    return fetch(key, object_size, out);
+  };
 
+  // The meta and the zone map do not depend on each other: a helper thread
+  // fetches and parses the zone map while this thread fetches the meta, so
+  // the two GETs cost one round trip. The helper shares `retry`, which is
+  // thread-safe. A std::async future joins its thread when destroyed, so
+  // the helper is joined on every path out of Open, exceptions included.
   const std::string zone_key = ZoneMapKey(prefix_, resolved_name_);
   has_zones_ = store_->Contains(zone_key);
+  std::future<Status> zone_fetch;
   if (has_zones_) {
-    BTR_RETURN_IF_ERROR(store_->ObjectSize(zone_key, &object_size));
-    BTR_RETURN_IF_ERROR(fetch(zone_key, object_size, &blob));
-    BTR_RETURN_IF_ERROR(ParseTableZoneMap(blob.data(), blob.size(), &zones_));
-    if (zones_.columns.size() != meta_.columns.size()) {
-      return Status::Corruption("zone map column count mismatch");
-    }
+    zone_fetch = std::async(std::launch::async, [&] {
+      std::vector<u8> zone_blob;
+      BTR_RETURN_IF_ERROR(fetch_object(zone_key, &zone_blob));
+      return ParseTableZoneMap(zone_blob.data(), zone_blob.size(), &zones_);
+    });
+  }
+  std::vector<u8> blob;
+  Status meta_status = fetch_object(meta_key, &blob);
+  if (meta_status.ok()) {
+    meta_status = ParseTableMeta(blob.data(), blob.size(), &meta_);
+  }
+  Status zone_status = has_zones_ ? zone_fetch.get() : Status::Ok();
+  BTR_RETURN_IF_ERROR(meta_status);
+  BTR_RETURN_IF_ERROR(zone_status);
+  if (has_zones_ && zones_.columns.size() != meta_.columns.size()) {
+    return Status::Corruption("zone map column count mismatch");
   }
 
-  // One small ranged GET per column: the "BTRC" header with per-block byte
-  // sizes and payload CRCs, turned into payload offsets for the
-  // block-granular GETs Scan() issues later and the integrity checks run
-  // on what they return.
+  // Block payload offsets for the ranged GETs Scan() issues, from the
+  // meta's per-block sizes. A version-1 meta has no framing: one small
+  // ranged GET per column reads it from the column's "BTRC" header.
   block_offsets_.assign(meta_.columns.size(), {});
-  block_crcs_.assign(meta_.columns.size(), {});
   for (size_t c = 0; c < meta_.columns.size(); c++) {
+    TableMeta::ColumnMeta& column = meta_.columns[c];
     const std::string key = ColumnFileKey(prefix_, resolved_name_, c);
-    if (!store_->Contains(key)) {
+    u64 object_size = 0;
+    if (!store_->ObjectSize(key, &object_size).ok()) {
       return Status::NotFound("column object missing: " + key);
     }
-    u64 block_count = meta_.columns[c].block_value_counts.size();
+    u64 block_count = column.block_value_counts.size();
     u64 header_bytes = ColumnFileHeaderBytes(block_count);
-    BTR_RETURN_IF_ERROR(fetch(key, header_bytes, &blob));
-    std::vector<u32> sizes;
-    BTR_RETURN_IF_ERROR(ParseColumnFileHeader(blob.data(), blob.size(), &sizes,
-                                              &block_crcs_[c]));
-    if (sizes.size() != block_count) {
-      return Status::Corruption("metadata/column block count mismatch: " + key);
+    if (!meta_.has_block_framing) {
+      BTR_RETURN_IF_ERROR(fetch(key, header_bytes, &blob));
+      BTR_RETURN_IF_ERROR(ParseColumnFileHeader(
+          blob.data(), blob.size(), &column.block_sizes, &column.block_crcs));
+      if (column.block_sizes.size() != block_count) {
+        return Status::Corruption("metadata/column block count mismatch: " +
+                                  key);
+      }
     }
     std::vector<u64>& offsets = block_offsets_[c];
     offsets.resize(block_count + 1);
     offsets[0] = header_bytes;
     for (u64 b = 0; b < block_count; b++) {
-      offsets[b + 1] = offsets[b] + sizes[b];
+      offsets[b + 1] = offsets[b] + column.block_sizes[b];
+    }
+    // Framing that disagrees with the object would send block GETs past
+    // its end; it is corrupt metadata, caught here without a GET.
+    if (offsets[block_count] != object_size) {
+      return Status::Corruption("block framing does not match the size of " +
+                                key);
     }
   }
   opened_ = true;
@@ -367,7 +392,7 @@ struct BlockResult {
 
 // One ranged GET of the fetch plan: the part of row block `block` at
 // position `pos` among the needed columns. `expected_crc` comes from the
-// column header and arms the block cache: a hit skips the GET, and a
+// table metadata and arms the block cache: a hit skips the GET, and a
 // fetched payload is admitted only when it hashes to this checksum.
 struct FetchRequest {
   std::string key;
@@ -488,7 +513,7 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
       request.length = block_offsets_[column][b + 1] - block_offsets_[column][b];
       request.block = b;
       request.pos = pos;
-      request.expected_crc = block_crcs_[column][b];
+      request.expected_crc = meta_.columns[column].block_crcs[b];
       requests.push_back(std::move(request));
     }
   }
@@ -599,13 +624,14 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
       }
       const ByteBuffer* part = bundle.parts[pos].get();
       u32 column = resolved.needed[pos];
-      // Integrity first: the payload must be exactly the bytes the column
-      // header promised. Catches truncated ranges (size) and flipped bits
+      // Integrity first: the payload must be exactly the bytes the table
+      // metadata promised. Catches truncated ranges (size) and flipped bits
       // (CRC32C) before any parsing logic sees the data.
       u64 expected_size =
           block_offsets_[column][b + 1] - block_offsets_[column][b];
+      const u32 expected_crc = meta_.columns[column].block_crcs[b];
       if (part->size() != expected_size ||
-          Crc32c(part->data(), part->size()) != block_crcs_[column][b]) {
+          Crc32c(part->data(), part->size()) != expected_crc) {
         metrics.crc_failures.Add();
         // The mismatch may be transient wire corruption rather than
         // at-rest damage: re-fetch the range once, straight from the store
@@ -624,7 +650,7 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
             get_bytes.fetch_add(fresh.size(), std::memory_order_relaxed);
           }
           if (refetch.ok() && fresh.size() == expected_size &&
-              Crc32c(fresh.data(), fresh.size()) == block_crcs_[column][b]) {
+              Crc32c(fresh.data(), fresh.size()) == expected_crc) {
             auto repaired = std::make_shared<ByteBuffer>();
             repaired->Append(fresh.data(), fresh.size());
             bundle.parts[pos] = std::move(repaired);
@@ -632,7 +658,7 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
             // The verified bytes are exactly what the cache wants; the
             // corrupt ones were already refused at admission.
             cache_insert(key, block_offsets_[column][b], expected_size,
-                         fresh.data(), fresh.size(), block_crcs_[column][b]);
+                         fresh.data(), fresh.size(), expected_crc);
             metrics.crc_rescues.Add();
             crc_rescue_count.fetch_add(1, std::memory_order_relaxed);
             rescued = true;

@@ -29,7 +29,7 @@
 //     a permanently unreadable block either fails the scan with a typed
 //     Status or, with skip_unreadable_blocks, degrades it (the block is
 //     emitted as kUnreadable and reported in ScanStats).
-//   - Every fetched block payload is verified against its header CRC32C
+//   - Every fetched block payload is verified against its CRC32C
 //     before validation/decoding; a structurally corrupt ("poisoned") or
 //     bit-flipped block yields Status::Corruption, not a crash and never
 //     silently wrong data.
@@ -213,12 +213,20 @@ class Scanner {
           const CompressionConfig& config = CompressionConfig());
   ~Scanner();
 
-  // Fetches and parses table metadata, per-column file headers (block byte
-  // offsets and payload CRCs for ranged GETs) and the zone-map sidecar
-  // when present. Metadata GETs use the config's retry knobs; every parsed
-  // structure is CRC-verified.
+  // Fetches and parses the table's metadata: two round trips and at most
+  // three GETs, whatever the column count. The first round trip reads the
+  // manifest (tables without one skip it); the second reads the .btrmeta
+  // object and, concurrently on a helper thread, the zone-map sidecar when
+  // present. The meta carries every block's payload size and CRC32C, so
+  // no column object is read here; each is only probed for existence and
+  // size (no GET). A version-1 meta lacks that framing, and Open then
+  // GETs each column's "BTRC" header serially, one more round trip per
+  // column. GETs use the config's retry knobs; every parsed structure is
+  // CRC-verified.
   Status Open(const ScanConfig& config = ScanConfig());
 
+  // After Open, every column's block_sizes and block_crcs are filled, for
+  // a version-1 meta from the column headers.
   const TableMeta& meta() const { return meta_; }
   bool has_zone_map() const { return has_zones_; }
   // Physical table name this scanner resolved at Open: "<table>.v<N>" when
@@ -257,8 +265,6 @@ class Scanner {
   // Per column: byte offset of each block payload inside the column
   // object, plus one past-the-end entry.
   std::vector<std::vector<u64>> block_offsets_;
-  // Per column: CRC32C of each block payload, from the column header.
-  std::vector<std::vector<u32>> block_crcs_;
   // Wall nanoseconds the last successful Open() spent fetching/parsing
   // metadata — stamped into ScanProfile::open_ns when profiling.
   u64 open_ns_ = 0;

@@ -244,7 +244,10 @@ Status ParseTableZoneMap(const u8* data, size_t size, TableZoneMap* out) {
   for (u32 c = 0; ok && c < column_count; c++) {
     u8 type;
     u32 zone_count = 0;
-    ok = read(&type, 1) && type <= 2 && read(&zone_count, 4);
+    // The count is untrusted: check it against the bytes left before
+    // sizing the vector.
+    ok = read(&type, 1) && type <= 2 && read(&zone_count, 4) &&
+         zone_count <= remaining / sizeof(BlockZone);
     if (!ok) break;
     ColumnZoneMap column;
     column.type = static_cast<ColumnType>(type);

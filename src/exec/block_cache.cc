@@ -60,15 +60,6 @@ BlockCache::Shard& BlockCache::ShardFor(const std::string& composite_key) {
   return shards_[h % shards_.size()];
 }
 
-bool BlockCache::Lookup(const std::string& key, u64 offset, u64 length,
-                        ByteBuffer* out) {
-  Payload payload = LookupShared(key, offset, length);
-  if (payload == nullptr) return false;
-  out->Clear();
-  out->Append(payload->data(), payload->size());
-  return true;
-}
-
 BlockCache::Payload BlockCache::LookupShared(const std::string& key,
                                              u64 offset, u64 length) {
   CacheMetrics& metrics = CacheMetrics::Get();

@@ -12,8 +12,7 @@
 // *rejected at insert* — the cache can serve stale-but-verified bytes,
 // never corrupt ones. Entries are immutable refcounted payloads:
 // `LookupShared` hands out a `std::shared_ptr<const ByteBuffer>` without
-// copying, and the copying `Lookup` performs its copy *after* releasing
-// the shard mutex, so the lock covers only LRU bookkeeping.
+// copying, so the shard mutex covers only LRU bookkeeping.
 //
 // Concurrency: the cache is sharded by key hash. Each shard owns a mutex,
 // an LRU list and a byte budget (capacity_bytes / shards), so concurrent
@@ -70,15 +69,10 @@ class BlockCache {
     eviction_callback_ = std::move(callback);
   }
 
-  // Copies the cached payload for this exact (key, offset, length) GET
-  // into `out` and returns true; false on miss (out untouched). The copy
-  // happens after the shard mutex is released.
-  bool Lookup(const std::string& key, u64 offset, u64 length,
-              ByteBuffer* out);
-
-  // Zero-copy variant: returns the refcounted immutable payload, or
-  // nullptr on miss. The payload stays valid for as long as the caller
-  // holds the pointer, even across eviction.
+  // Returns the refcounted immutable payload cached for this exact
+  // (key, offset, length) GET, without copying it, or nullptr on miss.
+  // The payload stays valid for as long as the caller holds the pointer,
+  // even across eviction.
   Payload LookupShared(const std::string& key, u64 offset, u64 length);
 
   // Admits the payload after verifying Crc32c(data, size) == expected_crc.

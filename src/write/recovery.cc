@@ -165,7 +165,8 @@ Status RollForward(FsckContext& ctx, const IntentRecord& intent,
 }
 
 // Deep-checks the committed version: metadata, zone map and column files
-// parse, and every block's payload matches its header CRC.
+// parse, the meta's block framing equals each column header's, and every
+// block's payload matches its header CRC.
 Status VerifyCommitted(FsckContext& ctx, u64 committed) {
   if (committed == 0) return Status::Ok();
   const std::string name = VersionedName(ctx.table, committed);
@@ -204,6 +205,14 @@ Status VerifyCommitted(FsckContext& ctx, u64 committed) {
       ctx.Note("committed column " + std::to_string(c) +
                " unreadable: " + status.ToString());
       continue;
+    }
+    // Scanners take the framing from the meta, so it must be the header's.
+    if (meta.has_block_framing && (sizes != meta.columns[c].block_sizes ||
+                                   crcs != meta.columns[c].block_crcs)) {
+      ctx.report->verify_failures++;
+      ctx.report->clean = false;
+      ctx.Note("committed column " + std::to_string(c) +
+               " framing differs between meta and header");
     }
     size_t offset = ColumnFileHeaderBytes(sizes.size());
     for (size_t b = 0; b < sizes.size(); b++) {

@@ -57,8 +57,9 @@ struct FsckOptions {
   // what repair would do and `clean` is false if anything needs doing.
   bool repair = false;
   // Additionally deep-check the *committed* version: parse its metadata,
-  // zone map and column files and verify every block CRC. Catches bit rot
-  // that no intent record covers.
+  // zone map and column files, check that the metadata's block framing
+  // equals each column header, and verify every block CRC. Catches bit
+  // rot that no intent record covers.
   bool verify_committed = false;
   // Retry discipline for the GETs/PUTs recovery issues against a store
   // that may still be throwing transient faults.

@@ -170,13 +170,12 @@ Status StreamingWriter::Begin(const std::vector<ColumnSpec>& schema) {
 }
 
 void StreamingWriter::StageBlockBytes(size_t c, const u8* data, u32 size,
-                                      u32 value_count, u8 root_scheme) {
+                                      u32 value_count) {
   ColumnState& column = columns_[c];
   column.pending.Append(data, size);
   column.block_sizes.push_back(size);
   column.block_crcs.push_back(Crc32c(data, size));
   column.block_value_counts.push_back(value_count);
-  column.block_root_schemes.push_back(root_scheme);
   column.payload_crc = Crc32cExtend(column.payload_crc, data, size);
   column.payload_bytes += size;
   blocks_flushed_++;
@@ -195,8 +194,7 @@ Status StreamingWriter::FlushBlock(size_t c) {
                 "accumulator flushed more than one block");
   StageBlockBytes(c, compressed.blocks[0].data(),
                   static_cast<u32>(compressed.blocks[0].size()),
-                  compressed.block_value_counts[0],
-                  compressed.block_root_schemes[0]);
+                  compressed.block_value_counts[0]);
   column.zones.push_back(ComputeColumnZoneMap(*column.accumulator).zones[0]);
   column.uncompressed_bytes += column.accumulator->UncompressedBytes();
   column.accumulator =
@@ -335,24 +333,19 @@ Status StreamingWriter::Commit() {
     if (CrashAt("commit:after-zones")) return failed_status_;
   }
   {
-    // The meta framing wants a CompressedRelation, but only block *counts*
-    // are serialized — a skeleton with empty block buffers produces the
-    // same bytes without holding any payload in memory.
-    CompressedRelation skeleton;
-    skeleton.name = table_;
-    skeleton.row_count = static_cast<u32>(rows_appended_);
-    for (ColumnState& column : columns_) {
-      CompressedColumn cc;
-      cc.name = column.spec.name;
-      cc.type = column.spec.type;
-      cc.uncompressed_bytes = column.uncompressed_bytes;
-      cc.blocks.resize(column.block_sizes.size());
-      cc.block_value_counts = column.block_value_counts;
-      cc.block_root_schemes = column.block_root_schemes;
-      skeleton.columns.push_back(std::move(cc));
+    TableMeta meta;
+    meta.row_count = static_cast<u32>(rows_appended_);
+    for (const ColumnState& column : columns_) {
+      TableMeta::ColumnMeta& cm = meta.columns.emplace_back();
+      cm.name = column.spec.name;
+      cm.type = column.spec.type;
+      cm.uncompressed_bytes = column.uncompressed_bytes;
+      cm.block_value_counts = column.block_value_counts;
+      cm.block_sizes = column.block_sizes;
+      cm.block_crcs = column.block_crcs;
     }
     ByteBuffer buffer;
-    SerializeTableMeta(skeleton, &buffer);
+    SerializeTableMeta(meta, &buffer);
     meta_size_ = buffer.size();
     meta_crc_ = Crc32c(buffer.data(), buffer.size());
     Status status = PutWithRetries(TableMetaKey(prefix_, versioned),
@@ -465,12 +458,9 @@ Status CommitCompressedRelation(const CompressedRelation& relation,
     state.uncompressed_bytes = column.uncompressed_bytes;
     if (zones != nullptr) state.zones = zones->columns[c].zones;
     for (size_t b = 0; b < column.blocks.size(); b++) {
-      writer.StageBlockBytes(
-          c, column.blocks[b].data(),
-          static_cast<u32>(column.blocks[b].size()),
-          column.block_value_counts[b],
-          b < column.block_root_schemes.size() ? column.block_root_schemes[b]
-                                               : 0);
+      writer.StageBlockBytes(c, column.blocks[b].data(),
+                             static_cast<u32>(column.blocks[b].size()),
+                             column.block_value_counts[b]);
       if (state.pending.size() >= writer_config.part_target_bytes) {
         BTR_RETURN_IF_ERROR(writer.UploadPending(c));
       }

@@ -145,7 +145,6 @@ class StreamingWriter {
     std::vector<u32> block_sizes;
     std::vector<u32> block_crcs;
     std::vector<u32> block_value_counts;
-    std::vector<u8> block_root_schemes;
     std::vector<BlockZone> zones;
     u64 uncompressed_bytes = 0;
     u64 payload_bytes = 0;  // staged payload bytes (excludes the header)
@@ -158,10 +157,9 @@ class StreamingWriter {
   Status Fail(Status status);  // marks kDead and returns the status
   Status PutWithRetries(const std::string& key, const u8* data, size_t size);
   Status WriteIntent(IntentPhase phase);
-  // Records one serialized block (size/CRC/count/scheme bookkeeping) and
-  // appends its bytes to column `c`'s pending part buffer.
-  void StageBlockBytes(size_t c, const u8* data, u32 size, u32 value_count,
-                       u8 root_scheme);
+  // Records one serialized block (size/CRC/count bookkeeping) and appends
+  // its bytes to column `c`'s pending part buffer.
+  void StageBlockBytes(size_t c, const u8* data, u32 size, u32 value_count);
   // Compresses the accumulator of column `c` into one block and appends
   // the payload to `pending` (cuts zones too). Accumulator must be
   // non-empty.

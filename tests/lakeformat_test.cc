@@ -1,13 +1,17 @@
 // Tests for the Parquet-like and ORC-like baseline formats: encoding
-// building blocks, round trips across codecs, dictionary fallback.
+// building blocks, round trips across codecs, dictionary fallback. Also
+// the BtrBlocks lake framing (btr/file_format.h): metadata and column
+// header parsers must reject hostile counts without allocating from them.
 #include <gtest/gtest.h>
 
 #include <vector>
 
+#include "btr/file_format.h"
 #include "datagen/public_bi.h"
 #include "datagen/tpch.h"
 #include "lakeformat/orc_like.h"
 #include "lakeformat/parquet_like.h"
+#include "util/crc32c.h"
 #include "util/random.h"
 
 namespace btr::lakeformat {
@@ -249,3 +253,107 @@ TEST(LakeFormatTest, TpchRoundTrip) {
 
 }  // namespace
 }  // namespace btr::lakeformat
+
+namespace btr {
+namespace {
+
+// Appends a CRC32C over everything in `buffer`, as the meta and zone-map
+// trailers do, so a parser gets past its CRC check to the hostile count.
+void SealWithCrc(ByteBuffer* buffer) {
+  buffer->AppendValue<u32>(Crc32c(buffer->data(), buffer->size()));
+}
+
+TEST(LakeFramingTest, MetaRoundTripCarriesBlockFraming) {
+  TableMeta meta;
+  meta.row_count = 70000;
+  TableMeta::ColumnMeta& column = meta.columns.emplace_back();
+  column.name = "id";
+  column.type = ColumnType::kInteger;
+  column.uncompressed_bytes = 280000;
+  column.block_value_counts = {65536, 4464};
+  column.block_sizes = {1000, 77};
+  column.block_crcs = {0xDEADBEEF, 0x12345678};
+  ByteBuffer buffer;
+  SerializeTableMeta(meta, &buffer);
+
+  TableMeta parsed;
+  Status status = ParseTableMeta(buffer.data(), buffer.size(), &parsed);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_TRUE(parsed.has_block_framing);
+  EXPECT_EQ(parsed.row_count, meta.row_count);
+  ASSERT_EQ(parsed.columns.size(), 1u);
+  EXPECT_EQ(parsed.columns[0].name, "id");
+  EXPECT_EQ(parsed.columns[0].block_value_counts, column.block_value_counts);
+  EXPECT_EQ(parsed.columns[0].block_sizes, column.block_sizes);
+  EXPECT_EQ(parsed.columns[0].block_crcs, column.block_crcs);
+}
+
+TEST(LakeFramingTest, HostileMetaColumnCountIsCorruptionNotAllocation) {
+  for (const char* magic : {"BTM2", "BTRM"}) {
+    ByteBuffer buffer;
+    buffer.Append(magic, 4);
+    buffer.AppendValue<u32>(0xFFFFFFFFu);  // column_count
+    buffer.AppendValue<u32>(10);           // row_count
+    SealWithCrc(&buffer);
+    TableMeta meta;
+    Status status = ParseTableMeta(buffer.data(), buffer.size(), &meta);
+    EXPECT_TRUE(status.IsCorruption()) << magic << ": " << status.ToString();
+  }
+}
+
+TEST(LakeFramingTest, HostileMetaBlockCountIsCorruptionNotAllocation) {
+  for (const char* magic : {"BTM2", "BTRM"}) {
+    ByteBuffer buffer;
+    buffer.Append(magic, 4);
+    buffer.AppendValue<u32>(1);   // column_count
+    buffer.AppendValue<u32>(10);  // row_count
+    buffer.AppendValue<u16>(1);
+    buffer.Append("x", 1);
+    buffer.AppendValue<u8>(0);    // integer
+    buffer.AppendValue<u64>(40);  // uncompressed_bytes
+    buffer.AppendValue<u32>(0xFFFFFFFFu);  // block_count
+    buffer.AppendValue<u32>(10);  // one value count, then nothing
+    SealWithCrc(&buffer);
+    TableMeta meta;
+    Status status = ParseTableMeta(buffer.data(), buffer.size(), &meta);
+    EXPECT_TRUE(status.IsCorruption()) << magic << ": " << status.ToString();
+  }
+}
+
+// The v2 framing arrays are counted separately: value counts that fit
+// must not let the sizes and CRCs past the end of the bytes.
+TEST(LakeFramingTest, TruncatedMetaFramingIsCorruption) {
+  TableMeta meta;
+  TableMeta::ColumnMeta& column = meta.columns.emplace_back();
+  column.name = "x";
+  column.type = ColumnType::kDouble;
+  column.uncompressed_bytes = 8;
+  column.block_value_counts = {1, 1, 1};
+  column.block_sizes = {9, 9, 9};
+  column.block_crcs = {1, 2, 3};
+  ByteBuffer full;
+  SerializeTableMeta(meta, &full);
+  // Drop the CRC array and the trailer, then reseal: CRC-consistent but
+  // three u32s short.
+  ByteBuffer cut;
+  cut.Append(full.data(), full.size() - 4 - 3 * sizeof(u32));
+  SealWithCrc(&cut);
+  TableMeta parsed;
+  Status status = ParseTableMeta(cut.data(), cut.size(), &parsed);
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+}
+
+TEST(LakeFramingTest, HostileColumnHeaderBlockCountIsCorruption) {
+  ByteBuffer buffer;
+  buffer.Append("BTRC", 4);
+  buffer.AppendValue<u32>(0xFFFFFFFFu);  // block_count
+  SealWithCrc(&buffer);
+  std::vector<u32> sizes, crcs;
+  Status status =
+      ParseColumnFileHeader(buffer.data(), buffer.size(), &sizes, &crcs);
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  EXPECT_TRUE(sizes.empty());
+}
+
+}  // namespace
+}  // namespace btr

@@ -18,6 +18,7 @@
 #include "btr/btrblocks.h"
 #include "btr/predicate.h"
 #include "service/scan_service.h"
+#include "util/crc32c.h"
 #include "write/manifest.h"
 
 namespace btr {
@@ -454,6 +455,140 @@ TEST(ScannerTest, ConcurrentScansReportOnlyTheirOwnGets) {
     ASSERT_TRUE(statuses[i].ok()) << statuses[i].ToString();
     EXPECT_EQ(stats[i].requests, solo.requests) << "scan " << i;
     EXPECT_EQ(stats[i].bytes_fetched, solo.bytes_fetched) << "scan " << i;
+  }
+}
+
+// `columns` integer columns over one full and one short row block.
+Relation MakeWideTable(u32 columns) {
+  Relation table("wide");
+  constexpr u32 kWideRows = kBlockCapacity + 1000;
+  for (u32 c = 0; c < columns; c++) {
+    Column& column = table.AddColumn("c" + std::to_string(c),
+                                     ColumnType::kInteger);
+    for (u32 i = 0; i < kWideRows; i++) {
+      column.AppendInt(static_cast<i32>((i * (c + 1)) % 1000));
+    }
+  }
+  return table;
+}
+
+// Open reads the manifest, then the meta and the zone map concurrently:
+// the meta carries every block's size and CRC, so no column header is
+// fetched, and the GET count is the same for 3 columns as for 14.
+TEST(ScannerTest, OpenGetsDoNotGrowWithColumns) {
+  service::ScanServiceConfig service_config;
+  service_config.fetch_threads = 2;
+  service_config.decode_threads = 2;
+  service::ScanService service(service_config);
+  for (u32 columns : {3u, 14u}) {
+    Relation table = MakeWideTable(columns);
+    CompressedRelation compressed = CompressRelation(table, CompressionConfig());
+    TableZoneMap zones;
+    for (const Column& column : table.columns()) {
+      zones.columns.push_back(ComputeColumnZoneMap(column));
+    }
+    for (bool with_zones : {true, false}) {
+      s3sim::ObjectStore store;
+      ASSERT_TRUE(UploadCompressedRelation(compressed,
+                                           with_zones ? &zones : nullptr,
+                                           "lake/", &store)
+                      .ok());
+      const u64 expected_gets = with_zones ? 3 : 2;  // manifest, meta, zones
+      Scanner standalone(&store, "wide", "lake/");
+      Scanner serviced(service, "tenant", &store, "wide", "lake/");
+      for (Scanner* scanner : {&standalone, &serviced}) {
+        const char* mode = scanner == &standalone ? "standalone" : "serviced";
+        u64 before = store.total_requests();
+        ASSERT_TRUE(scanner->Open().ok());
+        EXPECT_EQ(store.total_requests() - before, expected_gets)
+            << columns << " columns, zones " << with_zones << ", " << mode;
+        EXPECT_EQ(scanner->has_zone_map(), with_zones);
+        ScanOutput output;
+        Status status = scanner->Scan(PipelinedSpec(), &output);
+        ASSERT_TRUE(status.ok()) << status.ToString();
+        EXPECT_EQ(output.stats.blocks_decoded, 2u) << mode;
+        EXPECT_EQ(output.stats.rows_matched, table.row_count()) << mode;
+      }
+    }
+  }
+}
+
+// The version-1 "BTRM" meta: the version-2 layout without the per-block
+// sizes and CRCs, framed here by hand so the test does not depend on a
+// writer that no longer exists.
+void SerializeMetaV1(const TableMeta& meta, ByteBuffer* out) {
+  out->Append("BTRM", 4);
+  out->AppendValue<u32>(static_cast<u32>(meta.columns.size()));
+  out->AppendValue<u32>(meta.row_count);
+  for (const TableMeta::ColumnMeta& column : meta.columns) {
+    out->AppendValue<u16>(static_cast<u16>(column.name.size()));
+    out->Append(column.name.data(), column.name.size());
+    out->AppendValue<u8>(static_cast<u8>(column.type));
+    out->AppendValue<u64>(column.uncompressed_bytes);
+    out->AppendValue<u32>(static_cast<u32>(column.block_value_counts.size()));
+    out->Append(column.block_value_counts.data(),
+                column.block_value_counts.size() * sizeof(u32));
+  }
+  out->AppendValue<u32>(Crc32c(out->data(), out->size()));
+}
+
+// A table whose meta predates the block framing still opens — through
+// one header GET per column — and scans bit-identically to the same
+// table with a version-2 meta.
+TEST(ScannerTest, OpensLegacyV1Meta) {
+  Fixture f;
+  ScanSpec spec = PipelinedSpec();
+  spec.filter = Predicate::EqualsString("city", "bonn");
+  ScanOutput expected;
+  TableMeta meta;
+  {
+    Scanner scanner(&f.store, "scan_table", "lake/");
+    ASSERT_TRUE(scanner.Open().ok());
+    EXPECT_TRUE(scanner.meta().has_block_framing);
+    meta = scanner.meta();
+    Status status = scanner.Scan(spec, &expected);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+  }
+
+  std::string resolved;
+  ASSERT_TRUE(
+      write::ResolveCommittedName(&f.store, "lake/", "scan_table", &resolved)
+          .ok());
+  ByteBuffer v1;
+  SerializeMetaV1(meta, &v1);
+  ASSERT_TRUE(
+      f.store.Put(TableMetaKey("lake/", resolved), v1.data(), v1.size()).ok());
+
+  Scanner legacy(&f.store, "scan_table", "lake/");
+  u64 before = f.store.total_requests();
+  ASSERT_TRUE(legacy.Open().ok());
+  EXPECT_EQ(f.store.total_requests() - before, 3u + 3u)
+      << "manifest, meta, zones, then one header per column";
+  EXPECT_FALSE(legacy.meta().has_block_framing);
+  ASSERT_EQ(legacy.meta().columns.size(), meta.columns.size());
+  for (size_t c = 0; c < meta.columns.size(); c++) {
+    EXPECT_EQ(legacy.meta().columns[c].block_sizes, meta.columns[c].block_sizes);
+    EXPECT_EQ(legacy.meta().columns[c].block_crcs, meta.columns[c].block_crcs);
+  }
+
+  ScanOutput output;
+  Status status = legacy.Scan(spec, &output);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(output.block_outcomes, expected.block_outcomes);
+  EXPECT_EQ(output.stats.rows_matched, expected.stats.rows_matched);
+  ASSERT_EQ(output.block_selections.size(), expected.block_selections.size());
+  for (size_t b = 0; b < expected.block_selections.size(); b++) {
+    EXPECT_EQ(output.block_selections[b].ToVector(),
+              expected.block_selections[b].ToVector());
+  }
+  ASSERT_EQ(output.columns.size(), expected.columns.size());
+  for (size_t c = 0; c < expected.columns.size(); c++) {
+    ASSERT_EQ(output.columns[c].blocks.size(),
+              expected.columns[c].blocks.size());
+    for (size_t b = 0; b < expected.columns[c].blocks.size(); b++) {
+      ExpectBlocksBitIdentical(expected.columns[c].blocks[b],
+                               output.columns[c].blocks[b]);
+    }
   }
 }
 

@@ -637,5 +637,47 @@ TEST(FsckTest, VerifyCommittedDetectsBitRot) {
   EXPECT_FALSE(report.clean);
 }
 
+// Scanners take block sizes and CRCs from the meta, not the column
+// header. A meta whose framing disagrees with the header — here one block
+// CRC, with the meta's own CRC recomputed so it parses — is reported by
+// Fsck, and a scan of that block fails with Corruption, never wrong rows.
+TEST(FsckTest, VerifyCommittedDetectsMetaFramingMismatch) {
+  Relation table = MakeTable("t", kRows);
+  s3sim::ObjectStore store;
+  ASSERT_TRUE(StreamTable(&store, table, 9000, write::WriterConfig()).ok());
+  const std::string key = TableMetaKey("lake/", "t.v1");
+  std::vector<u8> blob = MustGet(store, key);
+  TableMeta meta;
+  ASSERT_TRUE(ParseTableMeta(blob.data(), blob.size(), &meta).ok());
+  ASSERT_TRUE(meta.has_block_framing);
+  ASSERT_EQ(meta.columns[0].block_crcs.size(), 2u);
+  meta.columns[0].block_crcs[1] ^= 0x01;
+  ByteBuffer rewritten;
+  SerializeTableMeta(meta, &rewritten);
+  ASSERT_TRUE(store.Put(key, rewritten.data(), rewritten.size()).ok());
+
+  write::FsckOptions deep;
+  deep.verify_committed = true;
+  write::FsckReport report;
+  ASSERT_TRUE(write::Fsck(&store, "lake/", "t", deep, &report).ok());
+  EXPECT_EQ(report.verify_failures, 1u);
+  EXPECT_FALSE(report.clean);
+
+  Scanner scanner(&store, "t", "lake/");
+  ASSERT_TRUE(scanner.Open().ok());
+  ScanSpec spec;
+  spec.columns = {meta.columns[0].name};
+  spec.config.refetch_on_crc_failure = true;
+  spec.config.enable_block_cache = true;
+  std::vector<u32> emitted_blocks;
+  Status status = scanner.Scan(
+      spec,
+      [&](ColumnChunk&& chunk) { emitted_blocks.push_back(chunk.block); });
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  for (u32 block : emitted_blocks) {
+    EXPECT_EQ(block, 0u) << "only the block whose CRC verified may be emitted";
+  }
+}
+
 }  // namespace
 }  // namespace btr

@@ -7,6 +7,7 @@
 #include "btr/btrblocks.h"
 #include "btr/predicate.h"
 #include "btr/zonemap.h"
+#include "util/crc32c.h"
 #include "util/random.h"
 
 namespace btr {
@@ -292,6 +293,20 @@ TEST(ZoneMapTest, SidecarRoundTrip) {
   }
   TableZoneMap missing;
   EXPECT_FALSE(ReadTableZoneMap(dir, "no_such_table", &missing).ok());
+}
+
+// A CRC-consistent sidecar whose zone count is 0xFFFFFFFF must be
+// rejected as Corruption before anything is sized from the count.
+TEST(ZoneMapTest, HostileZoneCountIsCorruptionNotAllocation) {
+  ByteBuffer buffer;
+  buffer.Append("BTRZ", 4);
+  buffer.AppendValue<u32>(1);            // column_count
+  buffer.AppendValue<u8>(0);             // integer
+  buffer.AppendValue<u32>(0xFFFFFFFFu);  // zone_count
+  buffer.AppendValue<u32>(Crc32c(buffer.data(), buffer.size()));
+  TableZoneMap zones;
+  Status status = ParseTableZoneMap(buffer.data(), buffer.size(), &zones);
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
 }
 
 }  // namespace
