@@ -4,7 +4,7 @@
 //   btrtool decompress <dir> <table-name> <out.csv>        .btr -> CSV
 //   btrtool stats     <dir> <table-name>                   per-column report
 //   btrtool inspect   <table.csv>                          cascade decision report
-//   btrtool scan      <table.csv> [col=value ...]          pipelined scan demo
+//   btrtool scan      <table.csv>                          pipelined scan demo
 //   btrtool ingest    <table.csv> [table-name]             crash-safe streaming
 //                                                          write demo (below)
 //   btrtool demo                                           self-contained demo
@@ -13,7 +13,8 @@
 //   --metrics-json=<path>   write the metrics registry as JSON on exit
 //   --trace-json=<path>     record spans and write a Chrome/Perfetto trace
 //   --scan-threads=<n>      decode threads for `scan` (0 = hardware)
-//   --prefetch-depth=<n>    bounded-queue capacity for `scan`
+//   --prefetch-depth=<n>    `scan`: parts (one block of one column) fetched
+//                           ahead of decode
 //   --fault-seed=<n>        `scan`: inject a seeded chaos fault schedule
 //                           into the object store (docs/ROBUSTNESS.md)
 //   --fault-rate=<f>        per-GET fault probability for --fault-seed
@@ -21,9 +22,7 @@
 //   --where=<expr>          `scan`: SQL-ish filter expression, e.g.
 //                           --where="id >= 5 AND city IN ('a', 'b')"
 //                           (=, <, <=, >, >=, BETWEEN, IN, AND/OR/NOT;
-//                           see docs/PREDICATES.md). The positional
-//                           col=value filters are deprecated aliases for
-//                           --where equality conjuncts.
+//                           see docs/PREDICATES.md)
 //   --no-pushdown           `scan`: decode every block, then filter
 //                           (disables zone pruning + compressed-form
 //                           evaluation; the baseline the pushdown engine
@@ -249,16 +248,14 @@ int CmdInspect(const std::string& csv_path) {
 
 // Compresses a CSV, uploads it into an in-memory object store (one object
 // per column + metadata + zone maps) and runs a pipelined Scanner scan
-// with optional `col=value` equality predicates, reporting what the zone
-// maps pruned, what predicate pushdown skipped, and the pipeline timing.
+// with an optional --where filter, reporting what the zone maps pruned,
+// what predicate pushdown skipped, and the pipeline timing.
 // With --tenant, scans run through one shared ScanService instead of a
 // standalone Scanner: `concurrent` scans (default: one per tenant) are
 // round-robined across the tenant ids and the per-tenant service stats
 // are reported at the end (docs/SCAN_SERVICE.md).
-int CmdScan(const std::string& csv_path,
-            const std::vector<std::string>& filters,
-            const std::string& where_clause, const ScanConfig& scan_config,
-            u64 fault_seed, double fault_rate,
+int CmdScan(const std::string& csv_path, const std::string& where_clause,
+            const ScanConfig& scan_config, u64 fault_seed, double fault_rate,
             const std::string& profile_json_path,
             const std::vector<std::string>& tenants, u32 concurrent) {
   std::string name = csv_path;
@@ -294,40 +291,6 @@ int CmdScan(const std::string& csv_path,
     status = ParsePredicate(where_clause, &spec.filter);
     if (!status.ok()) return Fail(status);
     std::printf("where: %s\n", spec.filter.ToString().c_str());
-  }
-  if (!filters.empty()) {
-    std::fprintf(stderr,
-                 "note: col=value filters are deprecated; prefer "
-                 "--where=\"col = value AND ...\"\n");
-  }
-  for (const std::string& filter : filters) {
-    size_t eq = filter.find('=');
-    if (eq == std::string::npos) {
-      return Fail(Status::InvalidArgument("filter must be col=value: " + filter));
-    }
-    std::string column_name = filter.substr(0, eq);
-    std::string value = filter.substr(eq + 1);
-    const Column* column = nullptr;
-    for (const Column& candidate : relation.columns()) {
-      if (candidate.name() == column_name) column = &candidate;
-    }
-    if (column == nullptr) {
-      return Fail(Status::NotFound("no such column: " + column_name));
-    }
-    PredicateExpr leaf;
-    switch (column->type()) {
-      case ColumnType::kInteger:
-        leaf = PredicateExpr::EqualsInt(column_name, std::atoi(value.c_str()));
-        break;
-      case ColumnType::kDouble:
-        leaf = PredicateExpr::EqualsDouble(column_name,
-                                           std::atof(value.c_str()));
-        break;
-      case ColumnType::kString:
-        leaf = PredicateExpr::EqualsString(column_name, value);
-        break;
-    }
-    spec.filter = PredicateExpr::And(std::move(spec.filter), std::move(leaf));
   }
 
   if (!tenants.empty()) {
@@ -833,9 +796,13 @@ int main(int argc, char** argv) {
   if (command == "inspect" && args.size() == 2) {
     return finish(CmdInspect(args[1]));
   }
-  if (command == "scan" && args.size() >= 2) {
-    std::vector<std::string> filters(args.begin() + 2, args.end());
-    return finish(CmdScan(args[1], filters, where_clause, scan_config,
+  if (command == "scan" && args.size() > 2) {
+    return finish(Fail(btr::Status::InvalidArgument(
+        "unexpected argument '" + args[2] +
+        "'; filter with --where=\"<expr>\"")));
+  }
+  if (command == "scan" && args.size() == 2) {
+    return finish(CmdScan(args[1], where_clause, scan_config,
                           fault_seed, fault_rate,
                           profile_json_path, tenants, concurrent));
   }
@@ -853,11 +820,12 @@ int main(int argc, char** argv) {
                "  btrtool decompress <dir> <table-name> <out.csv>\n"
                "  btrtool stats      <dir> <table-name>\n"
                "  btrtool inspect    <table.csv>\n"
-               "  btrtool scan       <table.csv> [col=value ...]\n"
+               "  btrtool scan       <table.csv> [--where=<expr>]\n"
                "  btrtool ingest     <table.csv> [table-name]\n"
                "  btrtool demo\n"
                "flags: --metrics-json=<path>  --trace-json=<path>\n"
-               "       --scan-threads=<n>  --prefetch-depth=<n>  (scan)\n"
+               "       --scan-threads=<n>  --prefetch-depth=<n>  (scan: decode\n"
+               "          threads; parts fetched ahead of decode)\n"
                "       --fault-seed=<n>  --fault-rate=<f>  --max-retries=<n>\n"
                "       --skip-corrupt  (scan robustness, docs/ROBUSTNESS.md)\n"
                "       --block-cache=<MiB>  --hedge  --breaker  --crc-refetch\n"

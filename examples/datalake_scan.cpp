@@ -118,7 +118,7 @@ int main() {
 
     ScanSpec point;
     point.columns = {int_column->name()};
-    point.filter = Predicate::EqualsInt(int_column->name(), probe);
+    point.filter = PredicateExpr::EqualsInt(int_column->name(), probe);
     ScanOutput output;
     status = scanner.Scan(point, &output);
     if (!status.ok()) {

@@ -22,10 +22,6 @@
 // lossless down to NaN payloads — while the ordered operators use IEEE
 // ordered comparisons, so `x < 5.0` never matches NaN but `x = NaN`
 // matches stored NaNs of identical bits.
-//
-// The legacy single-op `Predicate` (equality only) is now an alias for a
-// leaf PredicateExpr; Predicate::EqualsInt / EqualsDouble / EqualsString
-// keep compiling unchanged.
 #ifndef BTR_BTR_PREDICATE_H_
 #define BTR_BTR_PREDICATE_H_
 
@@ -131,11 +127,6 @@ struct PredicateExpr {
   // Human-readable SQL-ish rendering ("a >= 5 AND b IN ('x', 'y')").
   std::string ToString() const;
 };
-
-// Legacy name: the old struct Predicate was a single equality leaf. All
-// existing call sites (Predicate::EqualsInt, ...) keep working against
-// the leaf subset of PredicateExpr.
-using Predicate = PredicateExpr;
 
 // --- zone-map pruning --------------------------------------------------------
 

@@ -571,10 +571,11 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
                           const u8* data, size_t size, u32 expected_crc) {
     if (active_cache == nullptr) return;
     if (serviced) {
-      service_->TryCacheInsert(tenant_slot_, key, offset, length, data, size,
-                               expected_crc);
+      service_->TryCacheInsert(tenant_slot_, store_->id(), key, offset, length,
+                               data, size, expected_crc);
     } else {
-      active_cache->Insert(key, offset, length, data, size, expected_crc);
+      active_cache->Insert(store_->id(), key, offset, length, data, size,
+                           expected_crc);
     }
   };
 
@@ -890,8 +891,8 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
     exec::BlockCache::Payload payload;
     Status status;
     if (active_cache != nullptr) {
-      payload = active_cache->LookupShared(request.key, request.offset,
-                                           request.length);
+      payload = active_cache->LookupShared(store_->id(), request.key,
+                                           request.offset, request.length);
     }
     if (payload != nullptr) {
       // Cache hit: the bundle references the cached buffer directly —

@@ -60,8 +60,20 @@ BlockCache::Shard& BlockCache::ShardFor(const std::string& composite_key) {
   return shards_[h % shards_.size()];
 }
 
+BlockCache::Payload BlockCache::LookupShared(u64 store_id,
+                                             const std::string& key,
+                                             u64 offset, u64 length) {
+  return Lookup(&store_id, key, offset, length);
+}
+
 BlockCache::Payload BlockCache::LookupShared(const std::string& key,
                                              u64 offset, u64 length) {
+  return Lookup(nullptr, key, offset, length);
+}
+
+BlockCache::Payload BlockCache::Lookup(const u64* store_id,
+                                       const std::string& key, u64 offset,
+                                       u64 length) {
   CacheMetrics& metrics = CacheMetrics::Get();
   std::string composite = CompositeKey(key, offset, length);
   Shard& shard = ShardFor(composite);
@@ -69,7 +81,8 @@ BlockCache::Payload BlockCache::LookupShared(const std::string& key,
   {
     std::lock_guard<std::mutex> lock(shard.mutex);
     auto it = shard.index.find(composite);
-    if (it != shard.index.end()) {
+    if (it != shard.index.end() &&
+        (store_id == nullptr || it->second->store_id == *store_id)) {
       // Move to MRU position; iterators stay valid across splice.
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       payload = it->second->payload;
@@ -83,9 +96,9 @@ BlockCache::Payload BlockCache::LookupShared(const std::string& key,
   return payload;
 }
 
-bool BlockCache::Insert(const std::string& key, u64 offset, u64 length,
-                        const u8* data, size_t size, u32 expected_crc,
-                        u32 owner) {
+bool BlockCache::Insert(u64 store_id, const std::string& key, u64 offset,
+                        u64 length, const u8* data, size_t size,
+                        u32 expected_crc, u32 owner) {
   CacheMetrics& metrics = CacheMetrics::Get();
   if (size == 0 || size > shard_capacity_) return false;
   // Admission gate: only bytes that match the column header's checksum
@@ -112,7 +125,7 @@ bool BlockCache::Insert(const std::string& key, u64 offset, u64 length,
       shard.lru.erase(it->second);
       shard.index.erase(it);
     }
-    shard.lru.push_front(Entry{composite, std::move(owned), owner});
+    shard.lru.push_front(Entry{composite, std::move(owned), store_id, owner});
     shard.index[composite] = shard.lru.begin();
     shard.bytes += size;
     metrics.bytes.Add(static_cast<i64>(size));

@@ -3,8 +3,9 @@
 // Repeated scans of the same table re-GET the same compressed block
 // payloads; since decompression is cheap (the paper's premise), those GETs
 // *are* the scan cost. The cache keys entries by the exact ranged-GET
-// identity (object key, offset, length), so a warm scan skips the object
-// store entirely for every cached block.
+// identity (store, object key, offset, length), so a warm scan skips the
+// object store entirely for every cached block, and a cache shared by two
+// stores never answers one's GET with the other's bytes.
 //
 // Integrity contract: an entry is admitted only when its bytes hash to the
 // CRC32C the column header promised (the same checksum the scanner
@@ -70,20 +71,25 @@ class BlockCache {
   }
 
   // Returns the refcounted immutable payload cached for this exact
-  // (key, offset, length) GET, without copying it, or nullptr on miss.
-  // The payload stays valid for as long as the caller holds the pointer,
-  // even across eviction.
+  // (store_id, key, offset, length) GET, without copying it, or nullptr on
+  // miss. The payload stays valid for as long as the caller holds the
+  // pointer, even across eviction.
+  Payload LookupShared(u64 store_id, const std::string& key, u64 offset,
+                       u64 length);
+  // Same, from whichever store: for tools inspecting a one-store cache.
   Payload LookupShared(const std::string& key, u64 offset, u64 length);
 
   // Admits the payload after verifying Crc32c(data, size) == expected_crc.
   // Returns false without caching when the CRC does not match (the bytes
   // are wire-corrupt), when the payload alone exceeds a shard's budget, or
-  // on size 0. An existing entry under the same key is replaced. `owner`
-  // tags the entry for eviction accounting (0 = unowned).
-  bool Insert(const std::string& key, u64 offset, u64 length, const u8* data,
-              size_t size, u32 expected_crc, u32 owner = 0);
+  // on size 0. An existing entry for (key, offset, length) is replaced,
+  // whichever store it came from. `owner` tags the entry for eviction
+  // accounting (0 = unowned).
+  bool Insert(u64 store_id, const std::string& key, u64 offset, u64 length,
+              const u8* data, size_t size, u32 expected_crc, u32 owner = 0);
 
-  // Drops the entry if present (e.g. after an at-rest corruption verdict).
+  // Drops the entry from any store, if present (e.g. after an at-rest
+  // corruption verdict).
   void Erase(const std::string& key, u64 offset, u64 length);
 
   struct Stats {
@@ -104,6 +110,7 @@ class BlockCache {
   struct Entry {
     std::string composite_key;
     Payload payload;
+    u64 store_id = 0;
     u32 owner = 0;
   };
   struct Shard {
@@ -120,6 +127,9 @@ class BlockCache {
   };
 
   Shard& ShardFor(const std::string& composite_key);
+  // Lookup body; a null `store_id` matches an entry from any store.
+  Payload Lookup(const u64* store_id, const std::string& key, u64 offset,
+                 u64 length);
   // Evicts LRU entries of `shard` (mutex held) until it fits its budget,
   // recording owned victims into `dropped`.
   void EvictLocked(Shard* shard, std::vector<Dropped>* dropped);

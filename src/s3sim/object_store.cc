@@ -1,6 +1,7 @@
 #include "s3sim/object_store.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <thread>
@@ -114,6 +115,11 @@ Status ObjectStore::ApplyPutFault(const FaultDecision& fault,
       return Status::IoError("injected crash after PUT " + key);
   }
   return Status::Ok();
+}
+
+u64 ObjectStore::NextId() {
+  static std::atomic<u64> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 Status ObjectStore::Put(const std::string& key, const u8* data, size_t size) {

@@ -152,7 +152,12 @@ class ObjectStore {
   const S3Config& config() const { return config_; }
   S3Config& mutable_config() { return config_; }
 
+  // Process-unique id from a global counter; unlike an address, never
+  // reused. Shared block caches key entries on it (exec/block_cache.h).
+  u64 id() const { return id_; }
+
  private:
+  static u64 NextId();
   struct FaultDecision {
     bool fired = false;
     FaultKind kind = FaultKind::kUnavailable;
@@ -171,6 +176,7 @@ class ObjectStore {
                        const u8* data, size_t size, std::vector<u8>* stored,
                        bool* apply_write);
 
+  const u64 id_ = NextId();
   S3Config config_;
 
   // Object bytes are immutable shared blobs: Put publishes a new blob

@@ -302,9 +302,10 @@ bool ScanService::TryAcquireTenantHedge(u32 tenant_slot) {
   return true;
 }
 
-bool ScanService::TryCacheInsert(u32 tenant_slot, const std::string& key,
-                                 u64 offset, u64 length, const u8* data,
-                                 size_t size, u32 expected_crc) {
+bool ScanService::TryCacheInsert(u32 tenant_slot, u64 store_id,
+                                 const std::string& key, u64 offset,
+                                 u64 length, const u8* data, size_t size,
+                                 u32 expected_crc) {
   TenantState& tenant = Tenant(tenant_slot);
   if (tenant.quota.max_cache_bytes != 0 &&
       tenant.cache_bytes.load(std::memory_order_relaxed) + size >
@@ -316,8 +317,8 @@ bool ScanService::TryCacheInsert(u32 tenant_slot, const std::string& key,
   // evicted (and debited) concurrently, so the debit must never be able
   // to run before the matching credit.
   tenant.cache_bytes.fetch_add(size, std::memory_order_relaxed);
-  bool inserted = cache_.Insert(key, offset, length, data, size, expected_crc,
-                                tenant_slot + 1);
+  bool inserted = cache_.Insert(store_id, key, offset, length, data, size,
+                                expected_crc, tenant_slot + 1);
   if (!inserted) {
     tenant.cache_bytes.fetch_sub(size, std::memory_order_relaxed);
   }

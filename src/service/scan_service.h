@@ -170,10 +170,10 @@ class ScanService {
   // --- per-tenant quota hooks (called from fetch closures) ------------------
   // Consumes one unit of the tenant's hedge budget; false once spent.
   bool TryAcquireTenantHedge(u32 tenant_slot);
-  // Inserts into the shared cache with tenant attribution unless the
-  // tenant's cache-byte quota would be exceeded.
-  bool TryCacheInsert(u32 tenant_slot, const std::string& key, u64 offset,
-                      u64 length, const u8* data, size_t size,
+  // Inserts into the shared cache, scoped to `store_id`, with tenant
+  // attribution unless the tenant's cache-byte quota would be exceeded.
+  bool TryCacheInsert(u32 tenant_slot, u64 store_id, const std::string& key,
+                      u64 offset, u64 length, const u8* data, size_t size,
                       u32 expected_crc);
   // Accounts one resolved fetch: a cache hit, or `gets` GET attempts that
   // moved `bytes` payload bytes (hedged when a duplicate was issued).

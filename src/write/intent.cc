@@ -82,6 +82,12 @@ Status ParseIntent(const u8* data, size_t size, IntentRecord* out) {
   if (!read_string(&out->table) || !read(&entry_count, 4)) {
     return Status::Corruption("truncated intent");
   }
+  // An entry holds at least two u16 lengths, a u64 size and a u32 CRC;
+  // reject a count its bytes cannot hold before it sizes an allocation.
+  constexpr size_t kMinEntryBytes = 2 + 2 + 8 + 4;
+  if (entry_count > remaining / kMinEntryBytes) {
+    return Status::Corruption("intent entry count exceeds its bytes");
+  }
   out->entries.clear();
   out->entries.resize(entry_count);
   for (IntentEntry& entry : out->entries) {

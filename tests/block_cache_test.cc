@@ -1,7 +1,7 @@
 // Unit tests for the checksum-verified block cache (exec/block_cache.h):
 // admission requires the payload to hash to the header CRC32C, entries are
-// keyed by exact GET identity (key, offset, length), and each shard evicts
-// LRU-first under its byte budget. The concurrent test doubles as the
+// keyed by exact GET identity (store, key, offset, length), and each shard
+// evicts LRU-first under its byte budget. The concurrent test doubles as the
 // TSan workload in CI.
 #include <cstring>
 #include <string>
@@ -17,6 +17,9 @@
 namespace btr::exec {
 namespace {
 
+// ObjectStore::id() of the store the test payloads stand for.
+constexpr u64 kStore = 1;
+
 std::vector<u8> MakePayload(size_t size, u8 salt) {
   std::vector<u8> payload(size);
   for (size_t i = 0; i < size; i++) {
@@ -31,8 +34,8 @@ TEST(BlockCacheTest, RoundTripReturnsTheExactBytes) {
   u32 crc = Crc32c(payload.data(), payload.size());
 
   EXPECT_EQ(cache.LookupShared("lake/t.0.btr", 128, payload.size()), nullptr);
-  ASSERT_TRUE(cache.Insert("lake/t.0.btr", 128, payload.size(), payload.data(),
-                           payload.size(), crc));
+  ASSERT_TRUE(cache.Insert(kStore, "lake/t.0.btr", 128, payload.size(),
+                           payload.data(), payload.size(), crc));
   BlockCache::Payload out =
       cache.LookupShared("lake/t.0.btr", 128, payload.size());
   ASSERT_NE(out, nullptr);
@@ -50,7 +53,7 @@ TEST(BlockCacheTest, CorruptPayloadIsRefusedAtAdmission) {
   u32 crc = Crc32c(payload.data(), payload.size());
   payload[100] ^= 0x40;  // single bit flip after the checksum was taken
 
-  EXPECT_FALSE(cache.Insert("k", 0, payload.size(), payload.data(),
+  EXPECT_FALSE(cache.Insert(kStore, "k", 0, payload.size(), payload.data(),
                             payload.size(), crc));
   EXPECT_EQ(cache.LookupShared("k", 0, payload.size()), nullptr)
       << "a corrupt payload must never become a hit";
@@ -61,9 +64,9 @@ TEST(BlockCacheTest, KeyIdentityIncludesOffsetAndLength) {
   BlockCache cache;
   std::vector<u8> a = MakePayload(256, 1);
   std::vector<u8> b = MakePayload(512, 2);
-  ASSERT_TRUE(cache.Insert("k", 0, a.size(), a.data(), a.size(),
+  ASSERT_TRUE(cache.Insert(kStore, "k", 0, a.size(), a.data(), a.size(),
                            Crc32c(a.data(), a.size())));
-  ASSERT_TRUE(cache.Insert("k", 256, b.size(), b.data(), b.size(),
+  ASSERT_TRUE(cache.Insert(kStore, "k", 256, b.size(), b.data(), b.size(),
                            Crc32c(b.data(), b.size())));
 
   EXPECT_EQ(cache.LookupShared("k", 0, 512), nullptr) << "different length";
@@ -77,14 +80,40 @@ TEST(BlockCacheTest, KeyIdentityIncludesOffsetAndLength) {
   EXPECT_EQ(0, std::memcmp(out->data(), b.data(), b.size()));
 }
 
+// Two stores may hold the same key with different bytes: a lookup scoped
+// to one store never returns the other's entry, and the later insert
+// replaces the earlier one in their shared slot.
+TEST(BlockCacheTest, KeyIdentityIncludesTheStore) {
+  BlockCache cache;
+  std::vector<u8> a = MakePayload(256, 1);
+  std::vector<u8> b = MakePayload(256, 2);
+  ASSERT_TRUE(cache.Insert(kStore, "k", 0, 256, a.data(), a.size(),
+                           Crc32c(a.data(), a.size())));
+  EXPECT_EQ(cache.LookupShared(kStore + 1, "k", 0, 256), nullptr);
+  BlockCache::Payload out = cache.LookupShared(kStore, "k", 0, 256);
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(0, std::memcmp(out->data(), a.data(), a.size()));
+
+  ASSERT_TRUE(cache.Insert(kStore + 1, "k", 0, 256, b.data(), b.size(),
+                           Crc32c(b.data(), b.size())));
+  EXPECT_EQ(cache.LookupShared(kStore, "k", 0, 256), nullptr);
+  out = cache.LookupShared(kStore + 1, "k", 0, 256);
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(0, std::memcmp(out->data(), b.data(), b.size()));
+  out = cache.LookupShared("k", 0, 256);  // any store
+  ASSERT_NE(out, nullptr);
+  EXPECT_EQ(0, std::memcmp(out->data(), b.data(), b.size()));
+  EXPECT_EQ(cache.GetStats().entries, 1u);
+}
+
 TEST(BlockCacheTest, ReinsertReplacesInsteadOfDoubleCounting) {
   BlockCache cache;
   std::vector<u8> payload = MakePayload(2048, 9);
   u32 crc = Crc32c(payload.data(), payload.size());
   ASSERT_TRUE(
-      cache.Insert("k", 0, 2048, payload.data(), payload.size(), crc));
+      cache.Insert(kStore, "k", 0, 2048, payload.data(), payload.size(), crc));
   ASSERT_TRUE(
-      cache.Insert("k", 0, 2048, payload.data(), payload.size(), crc));
+      cache.Insert(kStore, "k", 0, 2048, payload.data(), payload.size(), crc));
   BlockCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_EQ(stats.bytes, payload.size());
@@ -101,14 +130,14 @@ TEST(BlockCacheTest, EvictsLeastRecentlyUsedUnderTheShardBudget) {
   std::vector<u8> p0 = MakePayload(1024, 0);
   std::vector<u8> p1 = MakePayload(1024, 1);
   std::vector<u8> p2 = MakePayload(1024, 2);
-  ASSERT_TRUE(cache.Insert("k0", 0, 1024, p0.data(), p0.size(),
+  ASSERT_TRUE(cache.Insert(kStore, "k0", 0, 1024, p0.data(), p0.size(),
                            Crc32c(p0.data(), p0.size())));
-  ASSERT_TRUE(cache.Insert("k1", 0, 1024, p1.data(), p1.size(),
+  ASSERT_TRUE(cache.Insert(kStore, "k1", 0, 1024, p1.data(), p1.size(),
                            Crc32c(p1.data(), p1.size())));
 
   // Touch k0 so k1 becomes the LRU victim.
   ASSERT_NE(cache.LookupShared("k0", 0, 1024), nullptr);
-  ASSERT_TRUE(cache.Insert("k2", 0, 1024, p2.data(), p2.size(),
+  ASSERT_TRUE(cache.Insert(kStore, "k2", 0, 1024, p2.data(), p2.size(),
                            Crc32c(p2.data(), p2.size())));
 
   EXPECT_NE(cache.LookupShared("k0", 0, 1024), nullptr)
@@ -125,16 +154,17 @@ TEST(BlockCacheTest, OversizedAndEmptyPayloadsAreRejected) {
   BlockCache cache(config);
 
   std::vector<u8> big = MakePayload(2048, 5);  // exceeds any shard budget
-  EXPECT_FALSE(cache.Insert("k", 0, big.size(), big.data(), big.size(),
-                            Crc32c(big.data(), big.size())));
-  EXPECT_FALSE(cache.Insert("k", 0, 0, big.data(), 0, 0));
+  EXPECT_FALSE(cache.Insert(kStore, "k", 0, big.size(), big.data(),
+                            big.size(), Crc32c(big.data(), big.size())));
+  EXPECT_FALSE(cache.Insert(kStore, "k", 0, 0, big.data(), 0, 0));
   EXPECT_EQ(cache.GetStats().entries, 0u);
 }
 
 TEST(BlockCacheTest, EraseDropsTheEntry) {
   BlockCache cache;
   std::vector<u8> payload = MakePayload(512, 4);
-  ASSERT_TRUE(cache.Insert("k", 64, 512, payload.data(), payload.size(),
+  ASSERT_TRUE(cache.Insert(kStore, "k", 64, 512, payload.data(),
+                           payload.size(),
                            Crc32c(payload.data(), payload.size())));
   cache.Erase("k", 64, 512);
   EXPECT_EQ(cache.LookupShared("k", 64, 512), nullptr);
@@ -171,7 +201,7 @@ TEST(BlockCacheTest, ConcurrentHammerStaysConsistent) {
         std::string key = "obj" + std::to_string(k);
         switch (i % 3) {
           case 0:
-            cache.Insert(key, k, payload.size(), payload.data(),
+            cache.Insert(kStore, key, k, payload.size(), payload.data(),
                          payload.size(), crcs[k]);
             break;
           case 1:

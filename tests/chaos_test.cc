@@ -229,7 +229,7 @@ TEST(ChaosTest, PredicateScansSurviveTransientChaos) {
 
   ScanSpec spec = ChaosSpec();
   spec.columns = {"id", "city"};
-  spec.filter = Predicate::EqualsString("city", "bonn");
+  spec.filter = PredicateExpr::EqualsString("city", "bonn");
   ScanOutput expected;
   ASSERT_TRUE(scanner.Scan(spec, &expected).ok());
 
@@ -255,9 +255,9 @@ TEST(ChaosTest, RangePredicateScansSurviveTransientChaos) {
   ScanSpec spec = ChaosSpec();
   spec.columns = {"id", "price"};
   spec.filter = PredicateExpr::And(
-      Predicate::BetweenInt("id", 100, 299),
-      PredicateExpr::Or(Predicate::InString("city", {"bonn", "munich"}),
-                        Predicate::CompareDouble("price", CompareOp::kLt,
+      PredicateExpr::BetweenInt("id", 100, 299),
+      PredicateExpr::Or(PredicateExpr::InString("city", {"bonn", "munich"}),
+                        PredicateExpr::CompareDouble("price", CompareOp::kLt,
                                                  10.0)));
   ScanOutput expected;
   ASSERT_TRUE(scanner.Scan(spec, &expected).ok());

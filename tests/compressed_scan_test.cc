@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "btr/kernels/scan_kernels.h"
 #include "btr/predicate.h"
 #include "btr/relation.h"
 #include "btr/scheme_picker.h"
@@ -18,29 +17,20 @@ namespace {
 
 CompressionConfig DefaultConfig() { return CompressionConfig{}; }
 
-// Equality counting through the public PredicateExpr API, cross-checked
-// against the retained internal kernels (btr/kernels/scan_kernels.h) so
-// both surfaces stay bit-identical.
+// Equality counts through the public PredicateExpr API.
 u32 CountEqInt(const u8* block, i32 value, const CompressionConfig& config) {
-  u32 via_expr = CountMatches(block, Predicate::EqualsInt("c", value), config);
-  EXPECT_EQ(via_expr, kernels::CountEqualsInt(block, value, config));
-  return via_expr;
+  return CountMatches(block, PredicateExpr::EqualsInt("c", value), config);
 }
 
 u32 CountEqDouble(const u8* block, double value,
                   const CompressionConfig& config) {
-  u32 via_expr =
-      CountMatches(block, Predicate::EqualsDouble("c", value), config);
-  EXPECT_EQ(via_expr, kernels::CountEqualsDouble(block, value, config));
-  return via_expr;
+  return CountMatches(block, PredicateExpr::EqualsDouble("c", value), config);
 }
 
 u32 CountEqString(const u8* block, std::string_view value,
                   const CompressionConfig& config) {
-  u32 via_expr = CountMatches(
-      block, Predicate::EqualsString("c", std::string(value)), config);
-  EXPECT_EQ(via_expr, kernels::CountEqualsString(block, value, config));
-  return via_expr;
+  return CountMatches(
+      block, PredicateExpr::EqualsString("c", std::string(value)), config);
 }
 
 // Reference count via full materialization.
@@ -175,8 +165,7 @@ TEST(CompressedScanTest, OneValueFastPath) {
   std::vector<i32> data(64000, 42);
   ByteBuffer block;
   CompressIntBlock(data.data(), nullptr, 64000, &block, config);
-  EXPECT_TRUE(kernels::HasFastEqualsPath(block.data()));
-  EXPECT_TRUE(HasFastPath(block.data(), Predicate::EqualsInt("c", 42)));
+  EXPECT_TRUE(HasFastPath(block.data(), PredicateExpr::EqualsInt("c", 42)));
   EXPECT_EQ(CountEqInt(block.data(), 42, config), 64000u);
   EXPECT_EQ(CountEqInt(block.data(), 43, config), 0u);
 }
@@ -188,13 +177,186 @@ TEST(CompressedScanTest, FastPathDetection) {
   for (i32 i = 0; i < 64000; i++) seq[i] = i;
   ByteBuffer bp_block;
   CompressIntBlock(seq.data(), nullptr, 64000, &bp_block, config);
-  EXPECT_FALSE(kernels::HasFastEqualsPath(bp_block.data()));
-  // The expression engine *does* have a Bp128 range fast path for
-  // equality (miniblock envelopes), unlike the legacy equality kernels.
-  EXPECT_TRUE(HasFastPath(bp_block.data(), Predicate::EqualsInt("c", 5)));
-  // ...but the count is still exact via the fallback.
+  // Bp128 answers equality through its miniblock-envelope range path.
+  EXPECT_TRUE(HasFastPath(bp_block.data(), PredicateExpr::EqualsInt("c", 5)));
+  // ...and the count is exact.
   EXPECT_EQ(CountEqInt(bp_block.data(), 12345, config), 1u);
   EXPECT_EQ(CountEqInt(bp_block.data(), -1, config), 0u);
+}
+
+// One row per line of the fast-path matrix in docs/PREDICATES.md: a block
+// forced onto one root scheme, and whether `=`, BETWEEN and IN evaluate on
+// its compressed form. HasFastPath must report the cell, and EvaluateExpr's
+// per-leaf stats must agree with HasFastPath on the same block.
+struct FastPathRow {
+  const char* name;
+  ColumnType type;
+  u8 scheme;
+  // Schemes of `type` the cascade may use besides uncompressed (RLE, Dict
+  // and Frequency also get FastBP128 for their cascaded children).
+  u32 scheme_mask;
+  bool eq;
+  bool between;
+  bool in;
+};
+
+template <typename Code>
+constexpr u32 Bit(Code code) {
+  return 1u << static_cast<u32>(code);
+}
+
+// Data shaped so that the cascade, limited to the row's mask, picks the
+// row's root scheme.
+Column MakeMatrixColumn(const FastPathRow& row) {
+  constexpr u32 kRows = 16000;
+  Random rng(17);
+  Column column("c", row.type);
+  for (u32 i = 0; i < kRows; i++) {
+    switch (row.type) {
+      case ColumnType::kInteger: {
+        i32 v = 0;
+        switch (static_cast<IntSchemeCode>(row.scheme)) {
+          case IntSchemeCode::kOneValue:
+            v = 42;
+            break;
+          case IntSchemeCode::kRle:
+            v = static_cast<i32>((i / 100) % 7) * 1000003;
+            break;
+          case IntSchemeCode::kDict:
+            v = static_cast<i32>(rng.NextBounded(10)) * 1000003;
+            break;
+          case IntSchemeCode::kFrequency:
+            v = rng.NextBounded(10) == 0
+                    ? static_cast<i32>(rng.NextBounded(1u << 30))
+                    : 7;
+            break;
+          case IntSchemeCode::kBp128:
+            v = static_cast<i32>(i);
+            break;
+          case IntSchemeCode::kPfor:
+            v = rng.NextBounded(200) == 0
+                    ? static_cast<i32>(rng.NextBounded(1u << 30))
+                    : static_cast<i32>(rng.NextBounded(100));
+            break;
+          default:
+            v = static_cast<i32>(rng.NextBounded(1u << 30));
+        }
+        column.AppendInt(v);
+        break;
+      }
+      case ColumnType::kDouble:
+        // Two-decimal prices: Pseudodecimal's home turf.
+        column.AppendDouble(static_cast<double>(rng.NextBounded(100000)) /
+                            100.0);
+        break;
+      case ColumnType::kString:
+        if (static_cast<StringSchemeCode>(row.scheme) ==
+            StringSchemeCode::kDict) {
+          column.AppendString(rng.NextBounded(2) == 0 ? "berlin" : "munich");
+        } else {
+          column.AppendString("order-" + std::to_string(rng.Next() % 1000000) +
+                              "-shipped-by-air");
+        }
+        break;
+    }
+  }
+  return column;
+}
+
+TEST(CompressedScanTest, FastPathMatrixMatchesDocs) {
+  const FastPathRow rows[] = {
+      {"int OneValue", ColumnType::kInteger,
+       static_cast<u8>(IntSchemeCode::kOneValue),
+       Bit(IntSchemeCode::kOneValue), true, true, true},
+      {"int RLE", ColumnType::kInteger, static_cast<u8>(IntSchemeCode::kRle),
+       Bit(IntSchemeCode::kRle) | Bit(IntSchemeCode::kBp128), true, true,
+       true},
+      {"int Dict", ColumnType::kInteger, static_cast<u8>(IntSchemeCode::kDict),
+       Bit(IntSchemeCode::kDict) | Bit(IntSchemeCode::kBp128), true, true,
+       true},
+      {"int Frequency", ColumnType::kInteger,
+       static_cast<u8>(IntSchemeCode::kFrequency),
+       Bit(IntSchemeCode::kFrequency) | Bit(IntSchemeCode::kBp128), true,
+       true, true},
+      {"int FastBP128", ColumnType::kInteger,
+       static_cast<u8>(IntSchemeCode::kBp128), Bit(IntSchemeCode::kBp128),
+       true, true, false},
+      {"int PFOR", ColumnType::kInteger, static_cast<u8>(IntSchemeCode::kPfor),
+       Bit(IntSchemeCode::kPfor), false, false, false},
+      {"int uncompressed", ColumnType::kInteger,
+       static_cast<u8>(IntSchemeCode::kUncompressed), 0, false, false, false},
+      {"double Pseudodecimal", ColumnType::kDouble,
+       static_cast<u8>(DoubleSchemeCode::kPseudodecimal),
+       Bit(DoubleSchemeCode::kPseudodecimal), false, false, false},
+      {"string Dict", ColumnType::kString,
+       static_cast<u8>(StringSchemeCode::kDict), Bit(StringSchemeCode::kDict),
+       true, true, true},
+      {"string FSST", ColumnType::kString,
+       static_cast<u8>(StringSchemeCode::kFsst), Bit(StringSchemeCode::kFsst),
+       false, false, false},
+  };
+  for (const FastPathRow& row : rows) {
+    SCOPED_TRACE(row.name);
+    CompressionConfig config;
+    switch (row.type) {
+      case ColumnType::kInteger:
+        config.int_schemes = row.scheme_mask | 1u;  // | uncompressed
+        break;
+      case ColumnType::kDouble:
+        config.double_schemes = row.scheme_mask | 1u;
+        break;
+      case ColumnType::kString:
+        config.string_schemes = row.scheme_mask | 1u;
+        break;
+    }
+    Column column = MakeMatrixColumn(row);
+    CompressedColumn compressed = CompressColumn(column, config);
+    ASSERT_EQ(compressed.blocks.size(), 1u);
+    const u8* block = compressed.blocks[0].data();
+    ASSERT_EQ(PeekBlockScheme(block), row.scheme);
+
+    DecodedBlock decoded;
+    DecompressBlock(block, &decoded, config);
+    std::vector<std::pair<PredicateExpr, bool>> cells;
+    switch (row.type) {
+      case ColumnType::kInteger: {
+        i32 v = decoded.ints[decoded.count / 2];
+        cells = {{PredicateExpr::EqualsInt("c", v), row.eq},
+                 {PredicateExpr::BetweenInt("c", v - 5, v + 5), row.between},
+                 {PredicateExpr::InInt("c", {v, v + 1, 3}), row.in}};
+        break;
+      }
+      case ColumnType::kDouble: {
+        double v = decoded.doubles[decoded.count / 2];
+        cells = {{PredicateExpr::EqualsDouble("c", v), row.eq},
+                 {PredicateExpr::BetweenDouble("c", v - 5, v + 5),
+                  row.between},
+                 {PredicateExpr::InDouble("c", {v, 1.25}), row.in}};
+        break;
+      }
+      case ColumnType::kString: {
+        std::string v(decoded.strings.Get(decoded.count / 2));
+        cells = {{PredicateExpr::EqualsString("c", v), row.eq},
+                 {PredicateExpr::BetweenString("c", "a", v), row.between},
+                 {PredicateExpr::InString("c", {v, "x"}), row.in}};
+        break;
+      }
+    }
+    for (const auto& [leaf, fast] : cells) {
+      SCOPED_TRACE(leaf.ToString());
+      EXPECT_EQ(HasFastPath(block, leaf), fast);
+      std::vector<LeafEvalStats> stats(1);
+      EvalResult result = EvaluateExpr(
+          leaf, decoded.count, [block](const std::string&) { return block; },
+          config, &stats);
+      EXPECT_EQ(stats[0].fast_path, fast ? 1u : 0u);
+      EXPECT_EQ(stats[0].materialized, fast ? 0u : 1u);
+      EvalResult reference = EvaluateExprDecoded(
+          leaf, decoded.count,
+          [&decoded](const std::string&) { return &decoded; });
+      EXPECT_EQ(result.pass.ToVector(), reference.pass.ToVector());
+    }
+  }
 }
 
 class CompressedScanPropertyTest : public ::testing::TestWithParam<u64> {};

@@ -19,22 +19,22 @@ namespace {
 // --- construction ------------------------------------------------------------
 
 TEST(PredicateExprTest, InSetsAreSortedAndDeduplicated) {
-  PredicateExpr e = Predicate::InInt("c", {5, 3, 5, 1, 3});
+  PredicateExpr e = PredicateExpr::InInt("c", {5, 3, 5, 1, 3});
   EXPECT_EQ(e.int_set, (std::vector<i32>{1, 3, 5}));
   EXPECT_EQ(e.ToString(), "c IN (1, 3, 5)");
 
-  PredicateExpr s = Predicate::InString("s", {"b", "a", "b"});
+  PredicateExpr s = PredicateExpr::InString("s", {"b", "a", "b"});
   EXPECT_EQ(s.string_set, (std::vector<std::string>{"a", "b"}));
 
   // Doubles dedupe by bit pattern: -0.0 and 0.0 are distinct patterns.
-  PredicateExpr d = Predicate::InDouble("d", {0.0, -0.0, 0.0});
+  PredicateExpr d = PredicateExpr::InDouble("d", {0.0, -0.0, 0.0});
   EXPECT_EQ(d.double_set.size(), 2u);
 }
 
 TEST(PredicateExprTest, CombinatorsFlattenAndDropEmpty) {
-  PredicateExpr a = Predicate::EqualsInt("a", 1);
-  PredicateExpr b = Predicate::EqualsInt("b", 2);
-  PredicateExpr c = Predicate::EqualsInt("c", 3);
+  PredicateExpr a = PredicateExpr::EqualsInt("a", 1);
+  PredicateExpr b = PredicateExpr::EqualsInt("b", 2);
+  PredicateExpr c = PredicateExpr::EqualsInt("c", 3);
 
   // AND of zero / all-empty operands is the empty (match-all) expression.
   EXPECT_TRUE(PredicateExpr::And({}).Empty());
@@ -60,9 +60,9 @@ TEST(PredicateExprTest, CombinatorsFlattenAndDropEmpty) {
 
 TEST(PredicateExprTest, ColumnsDeduplicatesInFirstUseOrder) {
   PredicateExpr e = PredicateExpr::And(
-      PredicateExpr::Or(Predicate::EqualsInt("x", 1),
-                        Predicate::EqualsInt("y", 2)),
-      Predicate::EqualsInt("x", 3));
+      PredicateExpr::Or(PredicateExpr::EqualsInt("x", 1),
+                        PredicateExpr::EqualsInt("y", 2)),
+      PredicateExpr::EqualsInt("x", 3));
   EXPECT_EQ(e.Columns(), (std::vector<std::string>{"x", "y"}));
 
   u32 leaves = 0;
@@ -180,7 +180,7 @@ TEST(PredicateParserTest, ErrorsAreInvalidArgumentAndLeaveOutputEmpty) {
       "a = 5 b = 6",           // trailing garbage
   };
   for (const char* input : bad) {
-    PredicateExpr e = Predicate::EqualsInt("sentinel", 1);
+    PredicateExpr e = PredicateExpr::EqualsInt("sentinel", 1);
     Status status = ParsePredicate(input, &e);
     EXPECT_TRUE(status.IsInvalidArgument())
         << input << " -> " << status.ToString();
@@ -238,7 +238,7 @@ void ExpectSameResult(const EvalResult& a, const EvalResult& b,
 TEST(PredicateEvalTest, NullRowsAreUnknownNotFalse) {
   NullBlockFixture f;
   // c = 0: NULL rows (which store 0 raw) must be UNKNOWN, not matches.
-  EvalResult eq = f.Eval(Predicate::EqualsInt("c", 0));
+  EvalResult eq = f.Eval(PredicateExpr::EqualsInt("c", 0));
   for (u32 i = 0; i < f.rows; i++) {
     if (i % 7 == 0) {
       EXPECT_FALSE(eq.pass.Contains(i)) << "null row " << i << " matched";
@@ -248,14 +248,15 @@ TEST(PredicateEvalTest, NullRowsAreUnknownNotFalse) {
       EXPECT_FALSE(eq.unknown.Contains(i));
     }
   }
-  ExpectSameResult(eq, f.EvalDecoded(Predicate::EqualsInt("c", 0)), "c = 0");
+  ExpectSameResult(eq, f.EvalDecoded(PredicateExpr::EqualsInt("c", 0)),
+                   "c = 0");
 }
 
 TEST(PredicateEvalTest, NotOfUnknownStaysUnknown) {
   NullBlockFixture f;
   // NOT (c = 0): SQL says NOT UNKNOWN = UNKNOWN, so NULL rows still do
   // not pass — the classic "WHERE col <> x drops NULLs" behavior.
-  PredicateExpr expr = PredicateExpr::Not(Predicate::EqualsInt("c", 0));
+  PredicateExpr expr = PredicateExpr::Not(PredicateExpr::EqualsInt("c", 0));
   EvalResult r = f.Eval(expr);
   for (u32 i = 0; i < f.rows; i++) {
     if (i % 7 == 0) {
@@ -273,8 +274,8 @@ TEST(PredicateEvalTest, KleeneAndOrWithUnknown) {
   // TRUE OR UNKNOWN = TRUE: (c < 100 OR c = 0) is TRUE on every non-null
   // row; on NULL rows both sides are UNKNOWN so the OR stays UNKNOWN.
   PredicateExpr or_expr =
-      PredicateExpr::Or(Predicate::CompareInt("c", CompareOp::kLt, 100),
-                        Predicate::EqualsInt("c", 0));
+      PredicateExpr::Or(PredicateExpr::CompareInt("c", CompareOp::kLt, 100),
+                        PredicateExpr::EqualsInt("c", 0));
   EvalResult o = f.Eval(or_expr);
   for (u32 i = 0; i < f.rows; i++) {
     EXPECT_EQ(o.pass.Contains(i), i % 7 != 0) << "row " << i;
@@ -286,8 +287,8 @@ TEST(PredicateEvalTest, KleeneAndOrWithUnknown) {
   // conjuncts are UNKNOWN, and UNKNOWN AND UNKNOWN = UNKNOWN — the rows
   // still do not pass, but they are not FALSE either.
   PredicateExpr and_expr =
-      PredicateExpr::And(Predicate::CompareInt("c", CompareOp::kLt, 0),
-                         Predicate::EqualsInt("c", 0));
+      PredicateExpr::And(PredicateExpr::CompareInt("c", CompareOp::kLt, 0),
+                         PredicateExpr::EqualsInt("c", 0));
   EvalResult a = f.Eval(and_expr);
   EXPECT_EQ(a.pass.Cardinality(), 0u);
   for (u32 i = 0; i < f.rows; i++) {
@@ -310,24 +311,28 @@ TEST(PredicateEvalTest, RangeOpsOnCompressedForm) {
   CompressedColumn compressed = CompressColumn(column, config);
   const u8* block = compressed.blocks[0].data();
 
-  EXPECT_EQ(CountMatches(block, Predicate::CompareInt("c", CompareOp::kLt, 10),
-                         config),
+  EXPECT_EQ(CountMatches(
+                block, PredicateExpr::CompareInt("c", CompareOp::kLt, 10),
+                config),
             500u);
-  EXPECT_EQ(CountMatches(block, Predicate::CompareInt("c", CompareOp::kLe, 10),
-                         config),
+  EXPECT_EQ(CountMatches(
+                block, PredicateExpr::CompareInt("c", CompareOp::kLe, 10),
+                config),
             550u);
-  EXPECT_EQ(CountMatches(block, Predicate::CompareInt("c", CompareOp::kGt, 89),
-                         config),
+  EXPECT_EQ(CountMatches(
+                block, PredicateExpr::CompareInt("c", CompareOp::kGt, 89),
+                config),
             500u);
-  EXPECT_EQ(CountMatches(block, Predicate::CompareInt("c", CompareOp::kGe, 89),
-                         config),
+  EXPECT_EQ(CountMatches(
+                block, PredicateExpr::CompareInt("c", CompareOp::kGe, 89),
+                config),
             550u);
-  EXPECT_EQ(CountMatches(block, Predicate::BetweenInt("c", 10, 19), config),
+  EXPECT_EQ(CountMatches(block, PredicateExpr::BetweenInt("c", 10, 19), config),
             500u);
-  EXPECT_EQ(CountMatches(block, Predicate::InInt("c", {5, 7, 500}), config),
+  EXPECT_EQ(CountMatches(block, PredicateExpr::InInt("c", {5, 7, 500}), config),
             100u);
   // Inverted BETWEEN is empty, not a crash.
-  EXPECT_EQ(CountMatches(block, Predicate::BetweenInt("c", 19, 10), config),
+  EXPECT_EQ(CountMatches(block, PredicateExpr::BetweenInt("c", 19, 10), config),
             0u);
 }
 
@@ -343,19 +348,21 @@ TEST(PredicateEvalTest, DoubleOrderedOpsNeverMatchNaN) {
   const u8* block = compressed.blocks[0].data();
 
   // Ordered comparisons are IEEE-ordered: NaN matches nothing.
-  EXPECT_EQ(CountMatches(
-                block, Predicate::CompareDouble("d", CompareOp::kLt, 100.0),
-                config),
-            2u);
-  EXPECT_EQ(CountMatches(
-                block, Predicate::CompareDouble("d", CompareOp::kGe, -100.0),
-                config),
-            2u);
-  EXPECT_EQ(CountMatches(block, Predicate::BetweenDouble("d", -2.0, 2.0),
+  EXPECT_EQ(
+      CountMatches(block,
+                   PredicateExpr::CompareDouble("d", CompareOp::kLt, 100.0),
+                   config),
+      2u);
+  EXPECT_EQ(
+      CountMatches(block,
+                   PredicateExpr::CompareDouble("d", CompareOp::kGe, -100.0),
+                   config),
+      2u);
+  EXPECT_EQ(CountMatches(block, PredicateExpr::BetweenDouble("d", -2.0, 2.0),
                          config),
             2u);
   // Bit-pattern equality does match stored NaNs of identical bits.
-  EXPECT_EQ(CountMatches(block, Predicate::EqualsDouble("d", nan), config),
+  EXPECT_EQ(CountMatches(block, PredicateExpr::EqualsDouble("d", nan), config),
             2u);
 }
 
@@ -367,18 +374,21 @@ TEST(PredicateEvalTest, StringRangeAndInOnDictionary) {
   CompressedColumn compressed = CompressColumn(column, config);
   const u8* block = compressed.blocks[0].data();
 
-  EXPECT_EQ(CountMatches(block,
-                         Predicate::InString("s", {"bonn", "munich", "paris"}),
-                         config),
+  EXPECT_EQ(CountMatches(
+                block,
+                PredicateExpr::InString("s", {"bonn", "munich", "paris"}),
+                config),
             1000u);
   // Lexicographic range [berlin, bonn] covers berlin and bonn.
-  EXPECT_EQ(CountMatches(block, Predicate::BetweenString("s", "berlin", "bonn"),
-                         config),
-            1000u);
   EXPECT_EQ(CountMatches(
-                block, Predicate::CompareString("s", CompareOp::kLt, "bonn"),
+                block, PredicateExpr::BetweenString("s", "berlin", "bonn"),
                 config),
-            500u);
+            1000u);
+  EXPECT_EQ(
+      CountMatches(block,
+                   PredicateExpr::CompareString("s", CompareOp::kLt, "bonn"),
+                   config),
+      500u);
 }
 
 }  // namespace

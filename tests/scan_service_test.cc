@@ -118,7 +118,10 @@ TEST(FairQueueTest, OutstandingCapGatesALane) {
 
 constexpr u32 kRows = kBlockCapacity + 500;  // 2 row blocks, 3 columns
 
-Relation MakeTable() {
+// `city_shift` rotates which city each row holds but not how the column
+// compresses, so two shifts give tables with the same block framing and
+// different bytes.
+Relation MakeTable(i32 city_shift = 0) {
   Relation table("svc_table");
   Column& ints = table.AddColumn("id", ColumnType::kInteger);
   Column& doubles = table.AddColumn("price", ColumnType::kDouble);
@@ -131,7 +134,7 @@ Relation MakeTable() {
       ints.AppendInt(static_cast<i32>(i % 1000));
     }
     doubles.AppendDouble(static_cast<double>(i % 512) * 0.5);
-    strings.AppendString(cities[i % 4]);
+    strings.AppendString(cities[(i + city_shift) % 4]);
   }
   return table;
 }
@@ -195,13 +198,13 @@ void ExpectOutputsBitIdentical(const ScanOutput& expected,
 
 struct Fixture {
   CompressionConfig config;
-  Relation table = MakeTable();
+  Relation table;
   CompressedRelation compressed;
   TableZoneMap zones;
   s3sim::ObjectStore store;
   ScanOutput reference;  // standalone fault-free scan, full projection
 
-  Fixture() {
+  explicit Fixture(i32 city_shift = 0) : table(MakeTable(city_shift)) {
     compressed = CompressRelation(table, config);
     for (const Column& column : table.columns()) {
       zones.columns.push_back(ComputeColumnZoneMap(column));
@@ -298,6 +301,38 @@ TEST(ScanServiceTest, SharedCacheIsWarmAcrossTenants) {
     service::TenantStats stats = service.GetTenantStats("warm-tenant");
     EXPECT_EQ(stats.gets, 0u);
     EXPECT_GT(stats.cache_hits, 0u);
+  }
+}
+
+// One service shared by two stores that hold the same keys: a scan of
+// store B after a scan of store A must GET B's blocks, not serve A's
+// cached ones.
+TEST(ScanServiceTest, SharedCacheIsScopedToTheStore) {
+  Fixture a;
+  Fixture b(/*city_shift=*/1);
+  // Same keys, offsets and lengths; different bytes. Only the store
+  // tells the two tables' cache entries apart.
+  const ByteBuffer& block_a = a.compressed.columns[2].blocks[0];
+  const ByteBuffer& block_b = b.compressed.columns[2].blocks[0];
+  ASSERT_EQ(block_a.size(), block_b.size());
+  ASSERT_NE(0, std::memcmp(block_a.data(), block_b.data(), block_a.size()));
+
+  service::ScanService service(SmallServiceConfig());
+  {
+    Scanner scanner(service, "tenant", &a.store, "svc_table", "lake/");
+    ASSERT_TRUE(scanner.Open().ok());
+    ScanOutput output;
+    ASSERT_TRUE(scanner.Scan(FastSpec(), &output).ok());
+    ExpectOutputsBitIdentical(a.reference, output, 0);
+  }
+  {
+    Scanner scanner(service, "tenant", &b.store, "svc_table", "lake/");
+    ASSERT_TRUE(scanner.Open().ok());
+    ScanOutput output;
+    Status status = scanner.Scan(FastSpec(), &output);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    ExpectOutputsBitIdentical(b.reference, output, 1);
+    EXPECT_GT(output.stats.requests, 0u);
   }
 }
 

@@ -149,7 +149,7 @@ TEST(ScannerTest, PredicateScanPrunesAndMatchesSequentialFilter) {
   const i32 probe = 1500;
   ScanSpec spec = PipelinedSpec();
   spec.columns = {"id", "price"};
-  spec.filter = Predicate::EqualsInt("id", probe);
+  spec.filter = PredicateExpr::EqualsInt("id", probe);
 
   ScanOutput output;
   Status status = scanner.Scan(spec, &output);
@@ -164,7 +164,7 @@ TEST(ScannerTest, PredicateScanPrunesAndMatchesSequentialFilter) {
   // Selection must equal the compressed-scan kernel run sequentially.
   RoaringBitmap expected =
       SelectMatches(f.compressed.columns[0].blocks[1].data(),
-                    Predicate::EqualsInt("c", probe), f.config);
+                    PredicateExpr::EqualsInt("c", probe), f.config);
   EXPECT_EQ(expected.ToVector(), output.block_selections[1].ToVector());
   EXPECT_EQ(output.stats.rows_matched, expected.Cardinality());
   ASSERT_GT(output.stats.rows_matched, 0u);
@@ -188,7 +188,7 @@ TEST(ScannerTest, PredicateOnNonProjectedColumnFiltersProjection) {
 
   ScanSpec spec = PipelinedSpec();
   spec.columns = {"price"};  // predicate column not projected
-  spec.filter = Predicate::EqualsString("city", "bonn");
+  spec.filter = PredicateExpr::EqualsString("city", "bonn");
 
   ScanOutput output;
   Status status = scanner.Scan(spec, &output);
@@ -200,7 +200,7 @@ TEST(ScannerTest, PredicateOnNonProjectedColumnFiltersProjection) {
   for (size_t b = 0; b < f.compressed.columns[2].blocks.size(); b++) {
     RoaringBitmap sel =
         SelectMatches(f.compressed.columns[2].blocks[b].data(),
-                      Predicate::EqualsString("c", "bonn"), f.config);
+                      PredicateExpr::EqualsString("c", "bonn"), f.config);
     if (output.block_outcomes[b] == BlockOutcome::kDecoded) {
       EXPECT_EQ(sel.ToVector(), output.block_selections[b].ToVector());
     } else {
@@ -224,7 +224,7 @@ TEST(ScannerTest, EmptySelectionSkipsDecompression) {
   // within [0, 1023.75] but i%4096*0.25 only produces multiples of 0.25.
   ScanSpec spec = PipelinedSpec();
   spec.columns = {"id"};
-  spec.filter = Predicate::EqualsDouble("price", 0.125);
+  spec.filter = PredicateExpr::EqualsDouble("price", 0.125);
 
   ScanOutput output;
   Status status = scanner.Scan(spec, &output);
@@ -275,11 +275,11 @@ TEST(ScannerTest, SpecErrorsAreStatuses) {
 
   // Integer literals against double columns are coerced, not rejected.
   ScanSpec coerced = PipelinedSpec();
-  coerced.filter = Predicate::EqualsInt("price", 3);
+  coerced.filter = PredicateExpr::EqualsInt("price", 3);
   EXPECT_TRUE(scanner.Scan(coerced, &output).ok());
 
   ScanSpec mismatch = PipelinedSpec();
-  mismatch.filter = Predicate::EqualsString("id", "nope");
+  mismatch.filter = PredicateExpr::EqualsString("id", "nope");
   EXPECT_EQ(scanner.Scan(mismatch, &output).code(),
             Status::Code::kInvalidArgument);
 
@@ -538,7 +538,7 @@ void SerializeMetaV1(const TableMeta& meta, ByteBuffer* out) {
 TEST(ScannerTest, OpensLegacyV1Meta) {
   Fixture f;
   ScanSpec spec = PipelinedSpec();
-  spec.filter = Predicate::EqualsString("city", "bonn");
+  spec.filter = PredicateExpr::EqualsString("city", "bonn");
   ScanOutput expected;
   TableMeta meta;
   {

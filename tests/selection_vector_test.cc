@@ -65,26 +65,26 @@ RoaringBitmap ReferenceSelectInt(const ByteBuffer& block, i32 value,
   return out;
 }
 
-TEST(SelectEqualsTest, IntSchemesMatchReference) {
+TEST(SelectMatchesTest, IntSchemesMatchReference) {
   CompressionConfig config;
   for (auto archetype : datagen::kAllIntArchetypes) {
     std::vector<i32> data = datagen::MakeInts(archetype, 50000, 7);
     ByteBuffer block;
     CompressIntBlock(data.data(), nullptr, 50000, &block, config);
     for (i32 probe : {data[0], data[25000], 0, -99}) {
-      RoaringBitmap got =
-          SelectMatches(block.data(), Predicate::EqualsInt("c", probe), config);
+      RoaringBitmap got = SelectMatches(
+          block.data(), PredicateExpr::EqualsInt("c", probe), config);
       RoaringBitmap want = ReferenceSelectInt(block, probe, config);
       EXPECT_EQ(got.ToVector(), want.ToVector())
           << datagen::IntArchetypeName(archetype) << " probe " << probe;
       EXPECT_EQ(got.Cardinality(),
-                CountMatches(block.data(), Predicate::EqualsInt("c", probe),
+                CountMatches(block.data(), PredicateExpr::EqualsInt("c", probe),
                              config));
     }
   }
 }
 
-TEST(SelectEqualsTest, FrequencyComplementPath) {
+TEST(SelectMatchesTest, FrequencyComplementPath) {
   // Dominant-value probes exercise the AndNot(all, exceptions) path.
   std::vector<i32> data(64000, 7);
   Random rng(2);
@@ -101,12 +101,12 @@ TEST(SelectEqualsTest, FrequencyComplementPath) {
   ASSERT_EQ(static_cast<IntSchemeCode>(info.root_scheme),
             IntSchemeCode::kFrequency);
   RoaringBitmap got =
-      SelectMatches(block.data(), Predicate::EqualsInt("c", 7), config);
+      SelectMatches(block.data(), PredicateExpr::EqualsInt("c", 7), config);
   RoaringBitmap want = ReferenceSelectInt(block, 7, config);
   EXPECT_EQ(got.ToVector(), want.ToVector());
 }
 
-TEST(SelectEqualsTest, MultiPredicateAcrossColumns) {
+TEST(SelectMatchesTest, MultiPredicateAcrossColumns) {
   // WHERE city = 'PHOENIX' AND amount = 0.0 evaluated block-wise with
   // selection vectors, verified against row-wise evaluation.
   Relation table("t");
@@ -124,8 +124,8 @@ TEST(SelectEqualsTest, MultiPredicateAcrossColumns) {
   CompressionConfig config;
   CompressedRelation compressed = CompressRelation(table, config);
   PredicateExpr expr =
-      PredicateExpr::And(Predicate::EqualsString("city", "PHOENIX"),
-                         Predicate::EqualsDouble("amount", 0.0));
+      PredicateExpr::And(PredicateExpr::EqualsString("city", "PHOENIX"),
+                         PredicateExpr::EqualsDouble("amount", 0.0));
   auto block_of = [&](const std::string& name) -> const u8* {
     return name == "city" ? compressed.columns[0].blocks[0].data()
                           : compressed.columns[1].blocks[0].data();
@@ -146,7 +146,7 @@ TEST(SelectEqualsTest, MultiPredicateAcrossColumns) {
   EXPECT_GT(reference, 1000u);  // the predicate actually selects something
 }
 
-TEST(SelectEqualsTest, NullsExcluded) {
+TEST(SelectMatchesTest, NullsExcluded) {
   std::vector<i32> data(5000, 3);
   std::vector<u8> nulls(5000, 0);
   for (int i = 0; i < 5000; i += 5) {
@@ -157,11 +157,11 @@ TEST(SelectEqualsTest, NullsExcluded) {
   ByteBuffer block;
   CompressIntBlock(data.data(), nulls.data(), 5000, &block, config);
   EXPECT_EQ(
-      SelectMatches(block.data(), Predicate::EqualsInt("c", 0), config)
+      SelectMatches(block.data(), PredicateExpr::EqualsInt("c", 0), config)
           .Cardinality(),
       0u);
   RoaringBitmap threes =
-      SelectMatches(block.data(), Predicate::EqualsInt("c", 3), config);
+      SelectMatches(block.data(), PredicateExpr::EqualsInt("c", 3), config);
   EXPECT_EQ(threes.Cardinality(), 4000u);
   threes.ForEach([&](u32 position) { EXPECT_NE(position % 5, 0u); });
 }

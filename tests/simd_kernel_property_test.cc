@@ -133,20 +133,21 @@ std::vector<PredicateExpr> IntProbes(Random* rng, i32 lo_hint, i32 hi_hint) {
   auto value = [&]() {
     return static_cast<i32>(rng->NextRange(lo_hint - 50, hi_hint + 50));
   };
-  probes.push_back(Predicate::EqualsInt("c", value()));
-  probes.push_back(Predicate::CompareInt("c", CompareOp::kLt, value()));
-  probes.push_back(Predicate::CompareInt("c", CompareOp::kLe, value()));
-  probes.push_back(Predicate::CompareInt("c", CompareOp::kGt, value()));
-  probes.push_back(Predicate::CompareInt("c", CompareOp::kGe, value()));
+  probes.push_back(PredicateExpr::EqualsInt("c", value()));
+  probes.push_back(PredicateExpr::CompareInt("c", CompareOp::kLt, value()));
+  probes.push_back(PredicateExpr::CompareInt("c", CompareOp::kLe, value()));
+  probes.push_back(PredicateExpr::CompareInt("c", CompareOp::kGt, value()));
+  probes.push_back(PredicateExpr::CompareInt("c", CompareOp::kGe, value()));
   i32 a = value(), b = value();
-  probes.push_back(Predicate::BetweenInt("c", std::min(a, b), std::max(a, b)));
-  probes.push_back(Predicate::InInt("c", {value(), value(), value()}));
+  probes.push_back(
+      PredicateExpr::BetweenInt("c", std::min(a, b), std::max(a, b)));
+  probes.push_back(PredicateExpr::InInt("c", {value(), value(), value()}));
   // Operand extremes: x < INT32_MIN and x > INT32_MAX are unsatisfiable;
   // x <= INT32_MAX matches every non-null row.
-  probes.push_back(Predicate::CompareInt("c", CompareOp::kLt, kIntMin));
-  probes.push_back(Predicate::CompareInt("c", CompareOp::kGt, kIntMax));
-  probes.push_back(Predicate::CompareInt("c", CompareOp::kLe, kIntMax));
-  probes.push_back(Predicate::BetweenInt("c", kIntMin, kIntMax));
+  probes.push_back(PredicateExpr::CompareInt("c", CompareOp::kLt, kIntMin));
+  probes.push_back(PredicateExpr::CompareInt("c", CompareOp::kGt, kIntMax));
+  probes.push_back(PredicateExpr::CompareInt("c", CompareOp::kLe, kIntMax));
+  probes.push_back(PredicateExpr::BetweenInt("c", kIntMin, kIntMax));
   return probes;
 }
 
@@ -193,12 +194,12 @@ TEST(SimdKernelPropertyTest, IntExtremesRoundTripEveryOp) {
   }
   CompressedColumn compressed = CompressColumn(column, config);
   std::vector<PredicateExpr> probes = {
-      Predicate::EqualsInt("c", kIntMin),
-      Predicate::EqualsInt("c", kIntMax),
-      Predicate::CompareInt("c", CompareOp::kLe, kIntMin),
-      Predicate::CompareInt("c", CompareOp::kGe, kIntMax),
-      Predicate::BetweenInt("c", kIntMin, kIntMin),
-      Predicate::InInt("c", {kIntMin, kIntMax, 0}),
+      PredicateExpr::EqualsInt("c", kIntMin),
+      PredicateExpr::EqualsInt("c", kIntMax),
+      PredicateExpr::CompareInt("c", CompareOp::kLe, kIntMin),
+      PredicateExpr::CompareInt("c", CompareOp::kGe, kIntMax),
+      PredicateExpr::BetweenInt("c", kIntMin, kIntMin),
+      PredicateExpr::InInt("c", {kIntMin, kIntMax, 0}),
   };
   for (const PredicateExpr& probe : probes) {
     ExpectEnginesAgree(compressed, column, probe, config, "int extremes");
@@ -273,20 +274,20 @@ TEST(SimdKernelPropertyTest, DoubleSchemesAgreeAcrossEngines) {
 
       std::vector<PredicateExpr> probes;
       double v = rng.NextDouble() * 120 - 60;
-      probes.push_back(Predicate::EqualsDouble("d", v));
-      probes.push_back(Predicate::CompareDouble("d", CompareOp::kLt, v));
-      probes.push_back(Predicate::CompareDouble("d", CompareOp::kGe, v));
-      probes.push_back(Predicate::BetweenDouble("d", v - 10, v + 10));
+      probes.push_back(PredicateExpr::EqualsDouble("d", v));
+      probes.push_back(PredicateExpr::CompareDouble("d", CompareOp::kLt, v));
+      probes.push_back(PredicateExpr::CompareDouble("d", CompareOp::kGe, v));
+      probes.push_back(PredicateExpr::BetweenDouble("d", v - 10, v + 10));
       // NaN probes: ordered ops never match, bit-equality matches stored
       // NaNs of identical payload.
-      probes.push_back(Predicate::EqualsDouble("d", kNaN));
-      probes.push_back(Predicate::CompareDouble("d", CompareOp::kLt, kNaN));
-      probes.push_back(Predicate::InDouble("d", {kNaN, 0.0, v}));
+      probes.push_back(PredicateExpr::EqualsDouble("d", kNaN));
+      probes.push_back(PredicateExpr::CompareDouble("d", CompareOp::kLt, kNaN));
+      probes.push_back(PredicateExpr::InDouble("d", {kNaN, 0.0, v}));
       // Signed zero: 0.0 and -0.0 are distinct bit patterns for kEq but
       // equal for ordered comparisons.
-      probes.push_back(Predicate::EqualsDouble("d", -0.0));
-      probes.push_back(Predicate::BetweenDouble("d", -0.0, 0.0));
-      probes.push_back(Predicate::BetweenDouble("d", -kInf, kInf));
+      probes.push_back(PredicateExpr::EqualsDouble("d", -0.0));
+      probes.push_back(PredicateExpr::BetweenDouble("d", -0.0, 0.0));
+      probes.push_back(PredicateExpr::BetweenDouble("d", -kInf, kInf));
       for (const PredicateExpr& probe : probes) {
         ExpectEnginesAgree(compressed, column, probe, config, name);
       }
@@ -324,12 +325,12 @@ TEST(SimdKernelPropertyTest, StringSchemesAgreeAcrossEngines) {
       CompressedColumn compressed = CompressColumn(column, config);
 
       std::vector<PredicateExpr> probes;
-      probes.push_back(Predicate::EqualsString("s", "bonn"));
-      probes.push_back(Predicate::EqualsString("s", ""));  // empty string
-      probes.push_back(Predicate::CompareString("s", CompareOp::kLt, "c"));
-      probes.push_back(Predicate::CompareString("s", CompareOp::kGe, "m"));
-      probes.push_back(Predicate::BetweenString("s", "a", "c"));
-      probes.push_back(Predicate::InString("s", {"", "munich", "paris"}));
+      probes.push_back(PredicateExpr::EqualsString("s", "bonn"));
+      probes.push_back(PredicateExpr::EqualsString("s", ""));  // empty string
+      probes.push_back(PredicateExpr::CompareString("s", CompareOp::kLt, "c"));
+      probes.push_back(PredicateExpr::CompareString("s", CompareOp::kGe, "m"));
+      probes.push_back(PredicateExpr::BetweenString("s", "a", "c"));
+      probes.push_back(PredicateExpr::InString("s", {"", "munich", "paris"}));
       for (const PredicateExpr& probe : probes) {
         ExpectEnginesAgree(compressed, column, probe, config, "string");
       }
@@ -351,13 +352,13 @@ TEST(SimdKernelPropertyTest, AllNullBlocksAreAllUnknown) {
     PredicateExpr probe;
     switch (type) {
       case ColumnType::kInteger:
-        probe = Predicate::BetweenInt("c", kIntMin, kIntMax);
+        probe = PredicateExpr::BetweenInt("c", kIntMin, kIntMax);
         break;
       case ColumnType::kDouble:
-        probe = Predicate::CompareDouble("c", CompareOp::kGe, -kInf);
+        probe = PredicateExpr::CompareDouble("c", CompareOp::kGe, -kInf);
         break;
       case ColumnType::kString:
-        probe = Predicate::CompareString("c", CompareOp::kGe, "");
+        probe = PredicateExpr::CompareString("c", CompareOp::kGe, "");
         break;
     }
     EvalResult r =
@@ -406,7 +407,7 @@ TEST(SimdKernelPropertyTest, RawKernelsMatchScalarTwins) {
     for (u32 i = 0; i < set_size; i++) {
       set.push_back(static_cast<i32>(rng.NextRange(-600, 600)));
     }
-    PredicateExpr in = Predicate::InInt("c", set);  // sorts + dedupes
+    PredicateExpr in = PredicateExpr::InInt("c", set);  // sorts + dedupes
     RoaringBitmap vec_set, scalar_set;
     {
       ScopedSimd on(true);
@@ -467,7 +468,7 @@ TEST(SimdKernelPropertyTest, Bp128EnvelopeStatsAccountForAllMiniblocks) {
             static_cast<u8>(IntSchemeCode::kBp128));
 
   // ~1% selective range in the middle of the block.
-  PredicateExpr probe = Predicate::BetweenInt("c", 5000, 5099);
+  PredicateExpr probe = PredicateExpr::BetweenInt("c", 5000, 5099);
   EvalResult r = ExpectEnginesAgree(compressed, column, probe, config,
                                     "bp128 envelope");
   EXPECT_EQ(r.pass.Cardinality(), 400u);

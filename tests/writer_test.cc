@@ -13,6 +13,7 @@
 #include "btr/btrblocks.h"
 #include "btr/scanner.h"
 #include "s3sim/fault.h"
+#include "util/crc32c.h"
 #include "write/intent.h"
 #include "write/manifest.h"
 #include "write/recovery.h"
@@ -617,6 +618,49 @@ TEST(FsckTest, DamagedStagedVersionRollsBack) {
   u64 rows = 0;
   ASSERT_TRUE(ScanRows(&store, "t", &rows).ok());
   EXPECT_EQ(rows, 40000u);
+}
+
+// An intent whose CRC matches but whose entry count is far larger than
+// its bytes can hold is corrupt: ParseIntent must say so before sizing an
+// allocation from the count, and Fsck must treat the record as unreadable.
+TEST(FsckTest, IntentEntryCountBeyondItsBytesIsCorruption) {
+  write::IntentRecord record;
+  record.table = "t";
+  record.version = 2;
+  ByteBuffer blob;
+  write::SerializeIntent(record, &blob);
+  std::vector<u8> bytes(blob.data(), blob.data() + blob.size());
+  // entry_count follows "BTRI", the format, the version, the phase and
+  // the length-prefixed table name; the trailing CRC is recomputed so
+  // only the count is wrong.
+  const size_t count_offset = 4 + 4 + 8 + 1 + 2 + record.table.size();
+  const u32 huge_count = 0xFFFFFFFFu;
+  std::memcpy(bytes.data() + count_offset, &huge_count, 4);
+  const u32 crc = Crc32c(bytes.data(), bytes.size() - 4);
+  std::memcpy(bytes.data() + bytes.size() - 4, &crc, 4);
+
+  write::IntentRecord parsed;
+  Status status = write::ParseIntent(bytes.data(), bytes.size(), &parsed);
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+
+  s3sim::ObjectStore store;
+  ASSERT_TRUE(StreamTable(&store, MakeTable("t", 40000), 9000,
+                          write::WriterConfig())
+                  .ok());
+  ASSERT_TRUE(store
+                  .Put(write::IntentKey("lake/", "t", 2), bytes.data(),
+                       bytes.size())
+                  .ok());
+  write::FsckOptions repair;
+  repair.repair = true;
+  write::FsckReport report;
+  EXPECT_NO_THROW(
+      status = write::Fsck(&store, "lake/", "t", repair, &report));
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_FALSE(report.clean);
+  EXPECT_EQ(report.intents_deleted, 1u);
+  EXPECT_EQ(report.committed_version_after, 1u);
+  EXPECT_FALSE(store.Contains(write::IntentKey("lake/", "t", 2)));
 }
 
 TEST(FsckTest, VerifyCommittedDetectsBitRot) {

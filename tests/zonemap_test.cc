@@ -68,7 +68,7 @@ TEST(ZoneMapTest, SoundnessPropertyAgainstCompressedScan) {
       for (size_t b = 0; b < compressed.blocks.size(); b++) {
         u32 matches =
             CountMatches(compressed.blocks[b].data(),
-                         Predicate::EqualsInt("c", probe), config);
+                         PredicateExpr::EqualsInt("c", probe), config);
         if (matches > 0) {
           EXPECT_TRUE(ZoneMayContainInt(map.zones[b], probe))
               << "pruned a matching block, probe " << probe;
@@ -225,30 +225,30 @@ TEST(ZoneMapTest, ExpressionPruningOverZones) {
   for (i32 v = 100; v < 200; v++) column.AppendInt(v);
   BlockZone zone = ComputeColumnZoneMap(column).zones[0];
 
-  EXPECT_TRUE(ZoneMayMatch(zone, Predicate::BetweenInt("x", 150, 160)));
-  EXPECT_FALSE(ZoneMayMatch(zone, Predicate::BetweenInt("x", 300, 400)));
+  EXPECT_TRUE(ZoneMayMatch(zone, PredicateExpr::BetweenInt("x", 150, 160)));
+  EXPECT_FALSE(ZoneMayMatch(zone, PredicateExpr::BetweenInt("x", 300, 400)));
   EXPECT_FALSE(ZoneMayMatch(
-      zone, PredicateExpr::And(Predicate::BetweenInt("x", 150, 160),
-                               Predicate::EqualsInt("x", 500))));
+      zone, PredicateExpr::And(PredicateExpr::BetweenInt("x", 150, 160),
+                               PredicateExpr::EqualsInt("x", 500))));
   EXPECT_TRUE(ZoneMayMatch(
-      zone, PredicateExpr::Or(Predicate::EqualsInt("x", 500),
-                              Predicate::EqualsInt("x", 150))));
+      zone, PredicateExpr::Or(PredicateExpr::EqualsInt("x", 500),
+                              PredicateExpr::EqualsInt("x", 150))));
   EXPECT_FALSE(ZoneMayMatch(
-      zone, PredicateExpr::Or(Predicate::EqualsInt("x", 500),
-                              Predicate::EqualsInt("x", 600))));
+      zone, PredicateExpr::Or(PredicateExpr::EqualsInt("x", 500),
+                              PredicateExpr::EqualsInt("x", 600))));
   // NOT (x = 500) is satisfiable in this zone, and zone maps cannot prove
   // the inverse either way: never prune through NOT.
   EXPECT_TRUE(ZoneMayMatch(
-      zone, PredicateExpr::Not(Predicate::EqualsInt("x", 150))));
+      zone, PredicateExpr::Not(PredicateExpr::EqualsInt("x", 150))));
   // Strict comparisons at the zone edge.
   EXPECT_TRUE(ZoneMayMatch(
-      zone, Predicate::CompareInt("x", CompareOp::kGe, 199)));
+      zone, PredicateExpr::CompareInt("x", CompareOp::kGe, 199)));
   EXPECT_FALSE(ZoneMayMatch(
-      zone, Predicate::CompareInt("x", CompareOp::kGt, 199)));
+      zone, PredicateExpr::CompareInt("x", CompareOp::kGt, 199)));
   EXPECT_TRUE(ZoneMayMatch(
-      zone, Predicate::CompareInt("x", CompareOp::kLe, 100)));
+      zone, PredicateExpr::CompareInt("x", CompareOp::kLe, 100)));
   EXPECT_FALSE(ZoneMayMatch(
-      zone, Predicate::CompareInt("x", CompareOp::kLt, 100)));
+      zone, PredicateExpr::CompareInt("x", CompareOp::kLt, 100)));
 }
 
 TEST(ZoneMapTest, SidecarRoundTrip) {
