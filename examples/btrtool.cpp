@@ -35,10 +35,14 @@
 //                           decode cost, slow-op exemplars); prints the
 //                           text report and, with =<path>, writes the
 //                           stable-schema JSON form (docs/OBSERVABILITY.md)
+//   --hedge                 `scan`: hedge slow GETs with one duplicate
+//   --crc-refetch           `scan`: re-fetch a CRC-failed block once
 //   --tenant=<id[,id...]>   `scan`: run through a shared btr::ScanService,
 //                           round-robining scans across these tenant ids
-//                           (shared cache, fair scheduling, admission
-//                           control; docs/SCAN_SERVICE.md)
+//                           (shared block cache and circuit breaker, fair
+//                           scheduling, admission control; a standalone
+//                           scan has no cache or breaker;
+//                           docs/SCAN_SERVICE.md)
 //   --concurrent=<n>        `scan`: with --tenant, run n concurrent scans
 //                           (default: one per tenant)
 //   --chunk-rows=<n>        `ingest`: rows per Append() chunk (default 10000)
@@ -411,26 +415,10 @@ int CmdScan(const std::string& csv_path, const std::string& where_clause,
                   stats.unreadable_reasons[i].ToString().c_str());
     }
   }
-  if (scan_config.enable_block_cache) {
-    std::printf("block cache: %llu hits, %llu misses, %llu bytes evicted "
-                "(%.0f MiB capacity)\n",
-                static_cast<unsigned long long>(stats.cache_hits),
-                static_cast<unsigned long long>(stats.cache_misses),
-                static_cast<unsigned long long>(
-                    obs::Registry::Get()
-                        .GetCounter("cache.block.bytes_evicted")
-                        .Value()),
-                scan_config.block_cache_bytes / (1024.0 * 1024.0));
-  }
   if (scan_config.enable_hedged_gets) {
     std::printf("hedged GETs: %llu issued, %llu won by the duplicate\n",
                 static_cast<unsigned long long>(stats.hedges),
                 static_cast<unsigned long long>(stats.hedge_wins));
-  }
-  if (scan_config.enable_circuit_breaker) {
-    std::printf("circuit breaker: %llu trips, %llu fast failures\n",
-                static_cast<unsigned long long>(stats.breaker_trips),
-                static_cast<unsigned long long>(stats.breaker_fast_failures));
   }
   if (scan_config.refetch_on_crc_failure &&
       (stats.crc_refetches != 0 || stats.crc_rescues != 0)) {
@@ -719,16 +707,8 @@ int main(int argc, char** argv) {
       scan_config.enable_predicate_pushdown = false;
     } else if (arg == "--skip-corrupt") {
       scan_config.skip_unreadable_blocks = true;
-    } else if (arg.rfind("--block-cache=", 0) == 0) {
-      int mib = std::atoi(arg.c_str() + std::strlen("--block-cache="));
-      scan_config.enable_block_cache = mib > 0;
-      if (mib > 0) {
-        scan_config.block_cache_bytes = static_cast<btr::u64>(mib) << 20;
-      }
     } else if (arg == "--hedge") {
       scan_config.enable_hedged_gets = true;
-    } else if (arg == "--breaker") {
-      scan_config.enable_circuit_breaker = true;
     } else if (arg == "--crc-refetch") {
       scan_config.refetch_on_crc_failure = true;
     } else if (arg.rfind("--tenant=", 0) == 0) {
@@ -755,6 +735,10 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--profile=", 0) == 0) {
       scan_config.collect_profile = true;
       profile_json_path = arg.substr(std::strlen("--profile="));
+    } else if (arg.rfind("--", 0) == 0) {
+      // A mistyped flag must not become a positional argument (a table
+      // name, a scan path) or be silently ignored.
+      return Fail(btr::Status::InvalidArgument("unknown flag '" + arg + "'"));
     } else {
       args.push_back(std::move(arg));
     }
@@ -828,14 +812,15 @@ int main(int argc, char** argv) {
                "          threads; parts fetched ahead of decode)\n"
                "       --fault-seed=<n>  --fault-rate=<f>  --max-retries=<n>\n"
                "       --skip-corrupt  (scan robustness, docs/ROBUSTNESS.md)\n"
-               "       --block-cache=<MiB>  --hedge  --breaker  --crc-refetch\n"
-               "         (resilient read path: checksum-verified cache,\n"
-               "          hedged GETs, circuit breaker, CRC re-fetch)\n"
+               "       --hedge  --crc-refetch  (scan: hedged GETs, CRC\n"
+               "          re-fetch; a block cache or circuit breaker needs\n"
+               "          --tenant)\n"
                "       --profile[=<path.json>]  (scan: per-scan profile —\n"
                "          stage breakdown, GET latency histogram, slow ops)\n"
                "       --tenant=<id[,id...]>  --concurrent=<n>  (scan: run\n"
-               "          through a shared ScanService, one scan per job\n"
-               "          round-robined over the tenants; docs/SCAN_SERVICE.md)\n"
+               "          through a shared ScanService, with its block cache\n"
+               "          and circuit breaker, one scan per job round-robined\n"
+               "          over the tenants; docs/SCAN_SERVICE.md)\n"
                "       --chunk-rows=<n>  --crash-at=<k>  --crash-matrix\n"
                "          (ingest: crash-safe streaming write demo — kill the\n"
                "          writer, fsck --repair, verify either-old-or-new;\n"

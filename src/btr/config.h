@@ -5,15 +5,22 @@
 // effect on ratio and decompression speed.
 //
 // --- configuration story ----------------------------------------------------
-// The library has three tunable surfaces, each owning one concern:
+// The library has four tunable surfaces, each owning one concern:
 //
 //   CompressionConfig (this header)    how blocks are compressed: cascade
 //                                      depth, sampling, enabled schemes,
 //                                      instrumentation sinks.
 //   ScanConfig        (this header)    how btr::Scanner executes a scan:
-//                                      decode threads, fetch threads, and
-//                                      the prefetch depth (parts in
-//                                      flight per scan).
+//                                      decode threads, fetch threads, the
+//                                      prefetch depth (parts in flight
+//                                      per scan), and per-scan retry,
+//                                      hedging and CRC re-fetch.
+//   service::ScanServiceConfig (service/scan_service.h)
+//                                      state shared across scans: the
+//                                      block cache and the per-backend
+//                                      circuit breakers. A cache or a
+//                                      breaker means a ScanService; a
+//                                      standalone Scanner has neither.
 //   s3sim::S3Config   (s3sim/object_store.h)
 //                                      the modeled cloud: NIC bandwidth,
 //                                      GET billing, chunk size, and the
@@ -180,18 +187,6 @@ struct ScanConfig {
   // block fails the whole scan with a typed Status.
   bool skip_unreadable_blocks = false;
 
-  // --- block cache (exec/block_cache.h) ------------------------------------
-  // Checksum-verified in-memory cache of compressed block payloads, keyed
-  // by the exact ranged GET (key, offset, length). A warm repeat scan
-  // through the same Scanner issues zero GETs for cached blocks. Entries
-  // are admitted only when their bytes hash to the column header's CRC32C.
-  // Serviced scanners (service/scan_service.h) ignore these knobs and the
-  // breaker ones below: the service's shared cache and per-backend
-  // breakers are always used instead (docs/SCAN_SERVICE.md).
-  bool enable_block_cache = false;
-  u64 block_cache_bytes = 64ull << 20;  // total cache capacity
-  u32 block_cache_shards = 8;           // independent LRU partitions
-
   // --- hedged GETs ("The Tail at Scale") -----------------------------------
   // A GET that outlives the running `hedge_quantile` of recent GET
   // latencies gets one duplicate request; the first response wins. Hedges
@@ -203,18 +198,6 @@ struct ScanConfig {
   u64 hedge_min_threshold_ns = 200 * 1000;  // threshold floor, 200 us
   u64 hedge_budget = 64;                    // duplicate GETs per scan
   u32 hedge_latency_window = 128;           // quantile ring size
-
-  // --- circuit breaker -----------------------------------------------------
-  // Past `breaker_failure_threshold` transient failures over a sliding
-  // window of `breaker_window` outcomes the breaker trips: GETs fail fast
-  // as Status::Unavailable (no retry budget burned) until a cooldown
-  // elapses, then a few half-open probes decide whether to close again.
-  bool enable_circuit_breaker = false;
-  u32 breaker_window = 32;
-  u32 breaker_min_samples = 8;
-  double breaker_failure_threshold = 0.5;
-  u64 breaker_cooldown_ns = 10 * 1000 * 1000;  // 10 ms open before probing
-  u32 breaker_half_open_probes = 2;
 
   // --- CRC refetch ---------------------------------------------------------
   // When a block's payload fails its header CRC32C, re-fetch it once

@@ -251,8 +251,7 @@ void SelectCodesIn(const u8* codes_vec, u32 count,
 // All return raw matches over stored values; null correction happens once
 // in the caller. `fast` reports whether a compressed-form path ran.
 
-RoaringBitmap SelectIntLeafRaw(const u8* block, const BlockHeader& h,
-                               const PredicateExpr& leaf,
+RoaringBitmap SelectIntLeafRaw(const BlockHeader& h, const PredicateExpr& leaf,
                                const CompressionConfig& config, bool* fast) {
   IntLeafCtx ctx(leaf);
   RoaringBitmap out;
@@ -343,7 +342,7 @@ RoaringBitmap SelectIntLeafRaw(const u8* block, const BlockHeader& h,
   }
 }
 
-RoaringBitmap SelectDoubleLeafRaw(const u8* block, const BlockHeader& h,
+RoaringBitmap SelectDoubleLeafRaw(const BlockHeader& h,
                                   const PredicateExpr& leaf,
                                   const CompressionConfig& config,
                                   bool* fast) {
@@ -574,10 +573,10 @@ EvalResult EvaluateExpr(
     RoaringBitmap raw;
     switch (leaf.type) {
       case ColumnType::kInteger:
-        raw = SelectIntLeafRaw(block, h, leaf, config, &fast);
+        raw = SelectIntLeafRaw(h, leaf, config, &fast);
         break;
       case ColumnType::kDouble:
-        raw = SelectDoubleLeafRaw(block, h, leaf, config, &fast);
+        raw = SelectDoubleLeafRaw(h, leaf, config, &fast);
         break;
       case ColumnType::kString:
         raw = SelectStringLeafRaw(block, h, leaf, config, &fast);

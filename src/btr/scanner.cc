@@ -93,16 +93,6 @@ exec::ThreadPool& EnsurePool(std::unique_ptr<exec::ThreadPool>* pool,
   return **pool;
 }
 
-exec::CircuitBreakerPolicy MakeBreakerPolicy(const ScanConfig& config) {
-  exec::CircuitBreakerPolicy policy;
-  policy.window = config.breaker_window;
-  policy.min_samples = config.breaker_min_samples;
-  policy.failure_threshold = config.breaker_failure_threshold;
-  policy.cooldown_ns = config.breaker_cooldown_ns;
-  policy.half_open_probes = config.breaker_half_open_probes;
-  return policy;
-}
-
 }  // namespace
 
 Status UploadCompressedRelation(const CompressedRelation& relation,
@@ -135,7 +125,7 @@ Scanner::Scanner(service::ScanService& service, const std::string& tenant_id,
   tenant_slot_ = service.EnsureTenant(tenant_id);
 }
 
-// Out-of-line so scanner.h can hold the cache behind a forward declaration.
+// Out-of-line so scanner.h can hold the pools behind a forward declaration.
 Scanner::~Scanner() = default;
 
 Status Scanner::Open(const ScanConfig& config) {
@@ -531,52 +521,24 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
   const bool degraded = spec.config.skip_unreadable_blocks;
   const bool serviced = service_ != nullptr;
 
-  // Resilience attachments. Standalone: the cache is Scanner-owned
-  // (created on the first cache-enabled scan) so warm repeat scans hit
-  // it, and the breaker is per-scan — backend health verdicts should not
-  // leak across scans with possibly different tolerance for failure.
-  // Serviced: both are the service's shared instances — one CRC-verified
-  // cache for every tenant and one breaker per backend, so a dead store
-  // fails fast for everyone (the per-scan ScanConfig cache/breaker knobs
-  // are owned by the service in this mode).
-  exec::BlockCache* active_cache = nullptr;
-  if (serviced) {
-    active_cache = service_->cache();
-  } else if (spec.config.enable_block_cache) {
-    if (block_cache_ == nullptr) {
-      exec::BlockCacheConfig cache_config;
-      cache_config.capacity_bytes = spec.config.block_cache_bytes;
-      cache_config.shards = spec.config.block_cache_shards;
-      block_cache_ = std::make_unique<exec::BlockCache>(cache_config);
-    }
-    active_cache = block_cache_.get();
-  }
-  std::unique_ptr<exec::CircuitBreaker> own_breaker;
-  exec::CircuitBreaker* breaker = nullptr;
-  if (serviced) {
-    breaker = service_->BreakerFor(store_);
-  } else if (spec.config.enable_circuit_breaker) {
-    own_breaker = std::make_unique<exec::CircuitBreaker>(
-        MakeBreakerPolicy(spec.config));
-    breaker = own_breaker.get();
-  }
-  // A shared breaker's lifetime counters move under concurrent scans, so
-  // per-scan stats report deltas (exact standalone, approximate serviced).
+  // Resilience attachments are the service's: one CRC-verified cache for
+  // every tenant and one breaker per backend, so a dead store fails fast
+  // for everyone. A standalone scan has neither, so every part is a GET.
+  exec::BlockCache* active_cache = serviced ? service_->cache() : nullptr;
+  exec::CircuitBreaker* breaker =
+      serviced ? service_->BreakerFor(store_) : nullptr;
+  // The shared breaker's lifetime counters move under concurrent scans, so
+  // per-scan stats report deltas (approximate under concurrency).
   const u64 base_breaker_trips = breaker != nullptr ? breaker->trips() : 0;
   const u64 base_breaker_fast =
       breaker != nullptr ? breaker->fast_failures() : 0;
 
-  // Cache inserts go through the tenant's cache-byte quota when serviced.
+  // Cache inserts go through the tenant's cache-byte quota.
   auto cache_insert = [&](const std::string& key, u64 offset, u64 length,
                           const u8* data, size_t size, u32 expected_crc) {
-    if (active_cache == nullptr) return;
-    if (serviced) {
-      service_->TryCacheInsert(tenant_slot_, store_->id(), key, offset, length,
-                               data, size, expected_crc);
-    } else {
-      active_cache->Insert(store_->id(), key, offset, length, data, size,
-                           expected_crc);
-    }
+    if (!serviced) return;
+    service_->TryCacheInsert(tenant_slot_, store_->id(), key, offset, length,
+                             data, size, expected_crc);
   };
 
   // Wakes the emitter and any backoff sleeper, so in-flight items bail
@@ -1115,8 +1077,8 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
   stats.bytes_fetched =
       get_bytes.load(std::memory_order_relaxed) + stragglers.bytes();
   if (breaker != nullptr) {
-    // Deltas, because a service-shared breaker's counters also move under
-    // other tenants' scans (exact standalone, approximate serviced).
+    // Deltas, because the shared breaker's counters also move under other
+    // tenants' scans.
     stats.breaker_trips = breaker->trips() - base_breaker_trips;
     stats.breaker_fast_failures =
         breaker->fast_failures() - base_breaker_fast;

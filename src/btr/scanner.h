@@ -13,10 +13,13 @@
 //                 decompress only blocks whose selection is non-empty
 //   emitter ────► chunks surface on the calling thread in block order
 //
-// Only the executors differ: a standalone Scanner runs the items on two
-// private pools (fetch_threads and scan_threads threads, kept across
-// Scan() calls); a serviced Scanner runs them on the ScanService's shared
-// executors.
+// Only the executors and the shared state differ. A standalone Scanner
+// runs the items on two private pools (fetch_threads and scan_threads
+// threads, kept across Scan() calls) and holds nothing else across scans:
+// no block cache and no circuit breaker, so every part is a GET. A
+// serviced Scanner runs them on the ScanService's shared executors and
+// uses its shared block cache and per-backend circuit breaker; a cache or
+// a breaker means a ScanService (service/scan_service.h).
 //
 // API contract (this is the Status-carrying redesign):
 //   - Scan() never throws on its own; failures on executor threads,
@@ -56,7 +59,6 @@
 #include "util/status.h"
 
 namespace btr::exec {
-class BlockCache;  // exec/block_cache.h
 class ThreadPool;  // exec/thread_pool.h
 }  // namespace btr::exec
 
@@ -194,7 +196,7 @@ Status UploadCompressedRelation(const CompressedRelation& relation,
 
 class Scanner {
  public:
-  // Standalone scanner: private fetch/decode pools, private cache/breaker.
+  // Standalone scanner: private fetch/decode pools, no cache or breaker.
   // `prefix` is the object key prefix the table was uploaded under.
   Scanner(s3sim::ObjectStore* store, std::string table_name,
           std::string prefix = "",
@@ -204,9 +206,9 @@ class Scanner {
   // cache and per-backend circuit breaker are the service's shared ones,
   // and Scan() passes admission control first — a saturated service or an
   // over-quota tenant surfaces as typed Status::Throttled (transient, so
-  // callers can wrap Scan in exec::RunWithRetries). The per-scan
-  // ScanConfig cache/breaker/thread knobs are ignored in this mode; retry
-  // and hedging policy stay per-scan. `service` must outlive the Scanner.
+  // callers can wrap Scan in exec::RunWithRetries). The ScanConfig thread
+  // knobs are ignored in this mode; retry, hedging, CRC re-fetch and
+  // profiling stay per-scan. `service` must outlive the Scanner.
   Scanner(service::ScanService& service, const std::string& tenant_id,
           s3sim::ObjectStore* store, std::string table_name,
           std::string prefix = "",
@@ -268,11 +270,6 @@ class Scanner {
   // Wall nanoseconds the last successful Open() spent fetching/parsing
   // metadata — stamped into ScanProfile::open_ns when profiling.
   u64 open_ns_ = 0;
-  // Checksum-verified block cache, created lazily on the first Scan with
-  // ScanConfig::enable_block_cache. Scanner-owned so repeat scans through
-  // the same Scanner hit it; entries are keyed by exact GET identity and
-  // admitted only after CRC verification (exec/block_cache.h).
-  std::unique_ptr<exec::BlockCache> block_cache_;
   // Standalone executors, persistent across Scan() calls so repeated
   // scans stop paying thread create/join churn per call.
   std::unique_ptr<exec::ThreadPool> fetch_pool_;

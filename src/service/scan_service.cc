@@ -5,6 +5,7 @@
 #include <chrono>
 
 #include "obs/metrics.h"
+#include "s3sim/object_store.h"
 #include "util/timer.h"
 
 namespace btr::service {
@@ -245,14 +246,12 @@ void ScanService::Release(Ticket* ticket) {
 }
 
 exec::CircuitBreaker* ScanService::BreakerFor(const s3sim::ObjectStore* store) {
-  if (!config_.enable_breaker) return nullptr;
   std::lock_guard<std::mutex> lock(breakers_mutex_);
-  auto it = breakers_.find(store);
-  if (it != breakers_.end()) return it->second.get();
-  auto breaker = std::make_unique<exec::CircuitBreaker>(config_.breaker);
-  exec::CircuitBreaker* raw = breaker.get();
-  breakers_[store] = std::move(breaker);
-  return raw;
+  std::unique_ptr<exec::CircuitBreaker>& breaker = breakers_[store->id()];
+  if (breaker == nullptr) {
+    breaker = std::make_unique<exec::CircuitBreaker>(config_.breaker);
+  }
+  return breaker.get();
 }
 
 void ScanService::ExecutorLoop(FairQueue* queue) {

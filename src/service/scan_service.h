@@ -1,17 +1,19 @@
 // btr::service::ScanService — process-wide resources for concurrent scans.
 //
-// Every standalone btr::Scanner is an island: a private block cache, a
-// private circuit breaker, private fetch/decode pools. Correct for
-// one client, wrong for many — the paper's premise (§2.1/§6.7) is that
-// GETs and CPU scheduling *are* the scan cost, so a multi-tenant
-// deployment wins by sharing exactly those. One ScanService per process
-// owns (docs/SCAN_SERVICE.md):
+// A standalone btr::Scanner is an island: private fetch/decode pools and
+// nothing shared, not even a block cache or a circuit breaker. Correct
+// for one client, wrong for many — the paper's premise (§2.1/§6.7) is
+// that GETs and CPU scheduling *are* the scan cost, so a multi-tenant
+// deployment wins by sharing exactly those. The ScanService is the only
+// owner of the read path's shared state: a cache or a breaker means a
+// ScanService. One ScanService per process owns (docs/SCAN_SERVICE.md):
 //
 //   - one sharded, CRC-verified exec::BlockCache shared by all scanners
 //     (admission verifies CRC32C, so cross-tenant sharing is safe by
 //     construction), with per-tenant cached-byte attribution;
-//   - one exec::CircuitBreaker per backend (keyed by ObjectStore*), so
-//     tenant A's dead backend fails fast for tenant B too;
+//   - one exec::CircuitBreaker per backend, keyed by ObjectStore::id()
+//     (never by address, which a later store can reuse), so tenant A's
+//     dead backend fails fast for tenant B too;
 //   - a global fetch/decode thread-pool pair fed by two deficit-round-
 //     robin FairQueues with one lane per tenant — a hog tenant's backlog
 //     cannot starve a light tenant's items;
@@ -25,7 +27,8 @@
 //       service.tenant.<id>.gets / .hits / .queued_ns / .rejected
 //
 // Scanners attach via Scanner(service, tenant_id, ...); both kinds of
-// Scanner run the same scan engine, only on different executors.
+// Scanner run the same scan engine, a serviced one on the service's
+// executors and with its cache and breakers.
 //
 // Threading: all methods are thread-safe. Destroy the service only after
 // every serviced Scan() call has returned (checked).
@@ -104,12 +107,10 @@ struct ScanServiceConfig {
   u32 max_queued_scans = 64;
   u64 admission_timeout_ns = 500ull * 1000 * 1000;  // 500 ms
 
-  // The one shared cache. Serviced scans always use it (the per-scan
-  // ScanConfig cache knobs are owned by the service in serviced mode).
+  // The one block cache. Every serviced scan uses it.
   exec::BlockCacheConfig cache;
 
-  // Shared per-backend breakers (one per ObjectStore seen).
-  bool enable_breaker = true;
+  // Policy of the shared per-backend breakers (one per ObjectStore seen).
   exec::CircuitBreakerPolicy breaker;
 
   // Quota applied to tenants first seen through EnsureTenant.
@@ -154,8 +155,7 @@ class ScanService {
 
   // --- shared resources -----------------------------------------------------
   exec::BlockCache* cache() { return &cache_; }
-  // The shared breaker for `store`, created on first sight; nullptr when
-  // breakers are disabled in the service config.
+  // The shared breaker for `store`, created on first sight of its id().
   exec::CircuitBreaker* BreakerFor(const s3sim::ObjectStore* store);
 
   // --- work submission (called by serviced Scanners) ------------------------
@@ -204,8 +204,9 @@ class ScanService {
   std::unordered_map<TenantId, u32> tenant_index_;
 
   mutable std::mutex breakers_mutex_;
-  std::map<const s3sim::ObjectStore*, std::unique_ptr<exec::CircuitBreaker>>
-      breakers_;
+  // Keyed by ObjectStore::id(): a store built where a freed one lived
+  // must not inherit its breaker.
+  std::map<u64, std::unique_ptr<exec::CircuitBreaker>> breakers_;
 
   // Admission state. Waiters carry a stable TenantState pointer so the
   // eligibility scan never touches the (tenants_mutex_-guarded) registry.

@@ -20,6 +20,7 @@
 #include "obs/metrics.h"
 #include "s3sim/fault.h"
 #include "s3sim/object_store.h"
+#include "service/scan_service.h"
 
 namespace btr {
 namespace {
@@ -58,6 +59,16 @@ ScanSpec ChaosSpec() {
   spec.config.max_backoff_ns = 8000;       // 8 us
   spec.config.retry_budget = 1024;
   return spec;
+}
+
+// The block cache and the circuit breaker belong to a ScanService; the
+// tests that use them run one tenant on a service sized like ChaosSpec's
+// standalone pools.
+service::ScanServiceConfig ChaosServiceConfig() {
+  service::ScanServiceConfig config;
+  config.fetch_threads = 3;
+  config.decode_threads = 4;
+  return config;
 }
 
 void ExpectBlocksBitIdentical(const DecodedBlock& expected,
@@ -384,13 +395,13 @@ TEST(ChaosTest, RetryMetricsAgreeWithInjectedFaults) {
 // issue zero GETs — no GETs, no faults, bit-identical output every time.
 TEST(ChaosTest, WarmCacheScanIsBitIdenticalAndGetFreeUnderChaos) {
   Fixture f;
-  Scanner scanner(&f.store, "chaos_table", "lake/");
+  service::ScanService service(ChaosServiceConfig());
+  Scanner scanner(service, "tenant", &f.store, "chaos_table", "lake/");
   ASSERT_TRUE(scanner.Open().ok());
 
   ScanSpec spec = ChaosSpec();
-  spec.config.enable_block_cache = true;
 
-  // Cold scan, fault-free: populates the Scanner-owned cache.
+  // Cold scan, fault-free: populates the service's cache.
   ScanOutput cold;
   ASSERT_TRUE(scanner.Scan(spec, &cold).ok());
   ExpectOutputsBitIdentical(f.reference, cold, 0);
@@ -416,28 +427,29 @@ TEST(ChaosTest, WarmCacheScanIsBitIdenticalAndGetFreeUnderChaos) {
 }
 
 // The chaos contract must survive with every resilience feature enabled at
-// once: cache + hedging + breaker + CRC re-fetch. Fresh Scanner per seed
-// so each scan starts cache-cold and actually exercises the fault plan.
+// once: cache + hedging + breaker + CRC re-fetch. Fresh service per seed
+// so each scan starts cache-cold, with a closed breaker, and actually
+// exercises the fault plan.
 TEST(ChaosTest, FullChaosWithCacheHedgingBreakerKeepsContract) {
   Fixture f;
+  service::ScanServiceConfig config = ChaosServiceConfig();
+  config.breaker.window = 16;
+  config.breaker.min_samples = 8;
+  config.breaker.failure_threshold = 0.8;
+  config.breaker.cooldown_ns = 100 * 1000;  // 100 us
   u32 ok_scans = 0;
   for (u64 seed = 1; seed <= 60; seed++) {
-    Scanner scanner(&f.store, "chaos_table", "lake/");
+    service::ScanService service(config);
+    Scanner scanner(service, "tenant", &f.store, "chaos_table", "lake/");
     ASSERT_TRUE(scanner.Open().ok());
     f.store.InstallFaultPlan(s3sim::MakeChaosPlan(seed, 0.15, true));
 
     ScanSpec spec = ChaosSpec();
-    spec.config.enable_block_cache = true;
     spec.config.enable_hedged_gets = true;
     spec.config.hedge_quantile = 0.9;
     spec.config.hedge_min_samples = 4;
     spec.config.hedge_min_threshold_ns = 1000;  // 1 us
     spec.config.hedge_budget = 8;
-    spec.config.enable_circuit_breaker = true;
-    spec.config.breaker_window = 16;
-    spec.config.breaker_min_samples = 8;
-    spec.config.breaker_failure_threshold = 0.8;
-    spec.config.breaker_cooldown_ns = 100 * 1000;  // 100 us
     spec.config.refetch_on_crc_failure = true;
 
     ScanOutput output;
@@ -503,7 +515,13 @@ TEST(ChaosTest, SingleFlipWireCorruptionRescuedByRefetch) {
 // unreadable; in strict mode it fails with a transient typed Status.
 TEST(ChaosTest, BreakerTripsAndFailsFastWhenBackendIsDown) {
   Fixture f;
-  Scanner scanner(&f.store, "chaos_table", "lake/");
+  service::ScanServiceConfig config = ChaosServiceConfig();
+  config.breaker.window = 8;
+  config.breaker.min_samples = 4;
+  config.breaker.failure_threshold = 0.5;
+  config.breaker.cooldown_ns = 50ull * 1000 * 1000;  // outlives the scan
+  service::ScanService service(config);
+  Scanner scanner(service, "tenant", &f.store, "chaos_table", "lake/");
   ASSERT_TRUE(scanner.Open().ok());
 
   s3sim::FaultPlan down;
@@ -516,11 +534,6 @@ TEST(ChaosTest, BreakerTripsAndFailsFastWhenBackendIsDown) {
   ScanSpec spec = ChaosSpec();
   spec.config.skip_unreadable_blocks = true;
   spec.config.max_attempts = 2;
-  spec.config.enable_circuit_breaker = true;
-  spec.config.breaker_window = 8;
-  spec.config.breaker_min_samples = 4;
-  spec.config.breaker_failure_threshold = 0.5;
-  spec.config.breaker_cooldown_ns = 50ull * 1000 * 1000;  // outlives the scan
 
   f.store.InstallFaultPlan(down);
   ScanOutput output;

@@ -218,16 +218,19 @@ TEST(ProfileTest, ChaosRetryTalliesMatchInjectedFaults) {
   EXPECT_GT(total_faults, 0u) << "a 10% plan over 12 scans must inject";
 }
 
-// Warm block cache: the second scan resolves every fetch from the cache,
-// and the profile must say so — all hits, no misses, an empty GET
-// latency histogram.
+// Warm block cache: the second scan resolves every fetch from the
+// service's cache, and the profile must say so — all hits, no misses, an
+// empty GET latency histogram.
 TEST(ProfileTest, WarmCacheTalliesMatchScanStats) {
   Fixture f;
-  Scanner scanner(&f.store, "profile_table", "lake/");
+  service::ScanServiceConfig service_config;
+  service_config.fetch_threads = 3;
+  service_config.decode_threads = 4;
+  service::ScanService service(service_config);
+  Scanner scanner(service, "tenant", &f.store, "profile_table", "lake/");
   ASSERT_TRUE(scanner.Open().ok());
 
   ScanSpec spec = ProfileSpec();
-  spec.config.enable_block_cache = true;
 
   ScanOutput cold;
   ASSERT_TRUE(scanner.Scan(spec, &cold).ok());

@@ -10,12 +10,15 @@
 //   - per-tenant quotas bite: concurrent scans, hedge budget, cache bytes;
 //   - the shared cache is warm across tenants (tenant B pays zero GETs for
 //     a table tenant A already scanned);
+//   - the shared cache and breakers are scoped to the store they serve,
+//     never to a store that merely reuses a freed store's address;
 //   - deficit-round-robin keeps a light tenant's queue waits bounded while
 //     a hog floods the service;
 //   - chaos: under seeded fault schedules every serviced scan is either
 //     bit-identical or a well-typed error — never wrong, never hung.
 #include <atomic>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -528,6 +531,56 @@ TEST(ScanServiceTest, BreakerFastFailsAreNotCountedAsGets) {
       << "the test must exercise the fast-fail path";
   EXPECT_EQ(output.stats.requests, store_gets);
   EXPECT_EQ(output.stats.bytes_fetched, 0u);
+}
+
+// Breakers are keyed by ObjectStore::id(), not by address. Store A's
+// backend is down and trips its breaker with a cooldown that outlives the
+// test; store B is built at A's freed address and is healthy, so a scan
+// of B through the same service must not fail fast on A's open breaker.
+TEST(ScanServiceTest, BreakerIsScopedToTheStoreNotItsAddress) {
+  Fixture f;
+  service::ScanServiceConfig config = SmallServiceConfig();
+  config.breaker.window = 8;
+  config.breaker.min_samples = 4;
+  config.breaker.failure_threshold = 0.5;
+  config.breaker.cooldown_ns = 10ull * 1000 * 1000 * 1000;  // outlives the test
+  service::ScanService service(config);
+
+  std::optional<s3sim::ObjectStore> store;
+  store.emplace();
+  ASSERT_TRUE(
+      UploadCompressedRelation(f.compressed, &f.zones, "lake/", &*store).ok());
+  s3sim::FaultPlan down;
+  down.seed = 11;
+  s3sim::FaultRule unavailable;
+  unavailable.kind = s3sim::FaultKind::kUnavailable;
+  unavailable.probability = 1.0;  // every GET fails
+  down.rules.push_back(unavailable);
+  {
+    Scanner scanner(service, "tenant", &*store, "svc_table", "lake/");
+    ASSERT_TRUE(scanner.Open().ok());
+    store->InstallFaultPlan(down);
+    ScanSpec spec = FastSpec();
+    spec.config.skip_unreadable_blocks = true;
+    spec.config.max_attempts = 2;
+    ScanOutput output;
+    ASSERT_TRUE(scanner.Scan(spec, &output).ok());
+    ASSERT_GE(output.stats.breaker_trips, 1u) << "store A's breaker must open";
+  }
+
+  const s3sim::ObjectStore* address_a = &*store;
+  store.reset();
+  store.emplace();
+  ASSERT_EQ(&*store, address_a) << "the test needs B at A's address";
+  ASSERT_TRUE(
+      UploadCompressedRelation(f.compressed, &f.zones, "lake/", &*store).ok());
+  Scanner scanner(service, "tenant", &*store, "svc_table", "lake/");
+  ASSERT_TRUE(scanner.Open().ok());
+  ScanOutput output;
+  Status status = scanner.Scan(FastSpec(), &output);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ExpectOutputsBitIdentical(f.reference, output, 0);
+  EXPECT_EQ(output.stats.breaker_fast_failures, 0u);
 }
 
 // --- fairness ---------------------------------------------------------------

@@ -458,6 +458,25 @@ TEST(ScannerTest, ConcurrentScansReportOnlyTheirOwnGets) {
   }
 }
 
+// A standalone Scanner keeps no block cache between scans: a repeat scan
+// through the same Scanner GETs every part again. A cache means a
+// ScanService (scan_service_test.cc covers the warm path).
+TEST(ScannerTest, StandaloneRepeatScanIssuesTheSameGets) {
+  Fixture f;
+  Scanner scanner(&f.store, "scan_table", "lake/");
+  ASSERT_TRUE(scanner.Open().ok());
+  ScanStats first;
+  ScanStats second;
+  ASSERT_TRUE(scanner.Scan(PipelinedSpec(), [](ColumnChunk&&) {}, &first).ok());
+  ASSERT_TRUE(
+      scanner.Scan(PipelinedSpec(), [](ColumnChunk&&) {}, &second).ok());
+  EXPECT_EQ(first.requests, 9u) << "3 row blocks x 3 columns";
+  EXPECT_EQ(second.requests, first.requests);
+  EXPECT_EQ(second.bytes_fetched, first.bytes_fetched);
+  EXPECT_EQ(first.cache_hits, 0u);
+  EXPECT_EQ(second.cache_hits, 0u);
+}
+
 // `columns` integer columns over one full and one short row block.
 Relation MakeWideTable(u32 columns) {
   Relation table("wide");

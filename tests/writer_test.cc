@@ -13,6 +13,7 @@
 #include "btr/btrblocks.h"
 #include "btr/scanner.h"
 #include "s3sim/fault.h"
+#include "service/scan_service.h"
 #include "util/crc32c.h"
 #include "write/intent.h"
 #include "write/manifest.h"
@@ -707,12 +708,17 @@ TEST(FsckTest, VerifyCommittedDetectsMetaFramingMismatch) {
   EXPECT_EQ(report.verify_failures, 1u);
   EXPECT_FALSE(report.clean);
 
-  Scanner scanner(&store, "t", "lake/");
+  // Through a ScanService, so the block cache is in play too: it must not
+  // admit (or serve) the block whose bytes fail the meta's CRC.
+  service::ScanServiceConfig service_config;
+  service_config.fetch_threads = 2;
+  service_config.decode_threads = 2;
+  service::ScanService service(service_config);
+  Scanner scanner(service, "tenant", &store, "t", "lake/");
   ASSERT_TRUE(scanner.Open().ok());
   ScanSpec spec;
   spec.columns = {meta.columns[0].name};
   spec.config.refetch_on_crc_failure = true;
-  spec.config.enable_block_cache = true;
   std::vector<u32> emitted_blocks;
   Status status = scanner.Scan(
       spec,
