@@ -13,8 +13,8 @@
 //   --metrics-json=<path>   write the metrics registry as JSON on exit
 //   --trace-json=<path>     record spans and write a Chrome/Perfetto trace
 //   --scan-threads=<n>      decode threads for `scan` (0 = hardware)
-//   --prefetch-depth=<n>    `scan`: parts (one block of one column) fetched
-//                           ahead of decode
+//   --prefetch-depth=<n>    `scan`: ranges (adjacent blocks of one column,
+//                           one GET each) fetched ahead of decode
 //   --fault-seed=<n>        `scan`: inject a seeded chaos fault schedule
 //                           into the object store (docs/ROBUSTNESS.md)
 //   --fault-rate=<f>        per-GET fault probability for --fault-seed
@@ -400,8 +400,8 @@ int CmdScan(const std::string& csv_path, const std::string& where_clause,
               stats.bytes_fetched / 1024.0,
               static_cast<unsigned long long>(stats.requests),
               stats.bytes_decoded / 1024.0, stats.seconds,
-              spec.config.scan_threads, spec.config.fetch_threads,
-              spec.config.prefetch_depth);
+              StandaloneDecodeThreads(spec.config),
+              spec.config.fetch_threads, spec.config.prefetch_depth);
   if (fault_seed != 0 || stats.retries != 0 || stats.blocks_unreadable != 0) {
     std::printf("robustness: %llu faults injected, %llu retries granted, "
                 "%u unreadable block%s%s\n",
@@ -809,7 +809,7 @@ int main(int argc, char** argv) {
                "  btrtool demo\n"
                "flags: --metrics-json=<path>  --trace-json=<path>\n"
                "       --scan-threads=<n>  --prefetch-depth=<n>  (scan: decode\n"
-               "          threads; parts fetched ahead of decode)\n"
+               "          threads; ranges fetched ahead of decode)\n"
                "       --fault-seed=<n>  --fault-rate=<f>  --max-retries=<n>\n"
                "       --skip-corrupt  (scan robustness, docs/ROBUSTNESS.md)\n"
                "       --hedge  --crc-refetch  (scan: hedged GETs, CRC\n"

@@ -157,10 +157,11 @@ struct ScanConfig {
   // executors and ignores both (service/scan_service.h).
   u32 scan_threads = 0;    // decode pool threads; 0 = hardware concurrency
   u32 fetch_threads = 4;   // fetch pool threads: ranged GETs in flight
-  // Parts (one block of one column) a scan fetches ahead: it may have
-  // prefetch_depth + needed columns - 1 parts fetched or in flight and not
-  // yet being decoded, so a row block can always assemble
-  // (docs/SCAN_PIPELINE.md).
+  // Ranges a scan fetches ahead. A range is one ranged GET of a run of
+  // adjacent blocks of one column, at most kFetchRangeBytes in total
+  // (btr/scanner.h). A scan may have prefetch_depth + needed columns - 1
+  // ranges in flight or holding a block that has not started decoding, so
+  // a row block can always assemble (docs/SCAN_PIPELINE.md).
   u32 prefetch_depth = 8;
 
   // --- predicate pushdown (btr/predicate.h, docs/PREDICATES.md) ------------

@@ -95,6 +95,11 @@ exec::ThreadPool& EnsurePool(std::unique_ptr<exec::ThreadPool>* pool,
 
 }  // namespace
 
+u32 StandaloneDecodeThreads(const ScanConfig& config) {
+  if (config.scan_threads != 0) return config.scan_threads;
+  return std::max(1u, std::thread::hardware_concurrency());
+}
+
 Status UploadCompressedRelation(const CompressedRelation& relation,
                                 const TableZoneMap* zones,
                                 const std::string& prefix,
@@ -380,17 +385,16 @@ struct BlockResult {
   Status error;  // why the block is kUnreadable (degraded mode only)
 };
 
-// One ranged GET of the fetch plan: the part of row block `block` at
-// position `pos` among the needed columns. `expected_crc` comes from the
-// table metadata and arms the block cache: a hit skips the GET, and a
-// fetched payload is admitted only when it hashes to this checksum.
-struct FetchRequest {
+// One entry of the fetch plan: the run of adjacent, unpruned row blocks
+// [first_block, first_block + block_count) of the needed column at
+// position `pos`, fetched by one ranged GET and split into per-block
+// payloads. The block offsets, sizes and CRCs come from the table meta.
+struct FetchRange {
   std::string key;
-  u64 offset = 0;
-  u64 length = 0;
-  u32 block = 0;
   u32 pos = 0;
-  u32 expected_crc = 0;
+  u32 first_block = 0;
+  u32 block_count = 0;
+  u64 length = 0;  // total bytes of the blocks
 };
 
 // Fetched column blocks of one row block, awaiting completion. A part
@@ -489,22 +493,53 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
   }
 
   // --- stage 1: fetch plan ---------------------------------------------------
-  // Block-major so one row block's column parts are fetched adjacently and
-  // bundles complete close to their emission order.
+  // Each needed column's unpruned blocks split into ranges: runs of
+  // adjacent blocks within kFetchRangeBytes. A pruned block ends a range,
+  // so no byte of a gap is read. Ranges are ordered by first block, then
+  // column position, so one row block's parts are fetched adjacently and
+  // bundles complete close to their emission order. `range_of` maps
+  // (block, position) to the range carrying that part.
   const u32 needed_count = static_cast<u32>(resolved.needed.size());
-  std::vector<FetchRequest> requests;
-  for (u32 b = 0; b < resolved.row_blocks; b++) {
-    if (pruned[b]) continue;
-    for (u32 pos = 0; pos < needed_count; pos++) {
-      u32 column = resolved.needed[pos];
-      FetchRequest request;
-      request.key = ColumnFileKey(prefix_, resolved_name_, column);
-      request.offset = block_offsets_[column][b];
-      request.length = block_offsets_[column][b + 1] - block_offsets_[column][b];
-      request.block = b;
-      request.pos = pos;
-      request.expected_crc = meta_.columns[column].block_crcs[b];
-      requests.push_back(std::move(request));
+  std::vector<FetchRange> ranges;
+  std::vector<u32> range_of(size_t{resolved.row_blocks} * needed_count, 0);
+  for (u32 pos = 0; pos < needed_count; pos++) {
+    const u32 column = resolved.needed[pos];
+    const std::vector<u64>& offsets = block_offsets_[column];
+    for (u32 b = 0; b < resolved.row_blocks; b++) {
+      if (pruned[b]) continue;
+      const u64 size = offsets[b + 1] - offsets[b];
+      const bool extends = !ranges.empty() && ranges.back().pos == pos &&
+                           ranges.back().first_block +
+                                   ranges.back().block_count == b &&
+                           ranges.back().length + size <= kFetchRangeBytes;
+      if (extends) {
+        ranges.back().block_count++;
+        ranges.back().length += size;
+        continue;
+      }
+      FetchRange range;
+      range.key = ColumnFileKey(prefix_, resolved_name_, column);
+      range.pos = pos;
+      range.first_block = b;
+      range.block_count = 1;
+      range.length = size;
+      ranges.push_back(std::move(range));
+    }
+  }
+  std::sort(ranges.begin(), ranges.end(),
+            [](const FetchRange& a, const FetchRange& b) {
+              return a.first_block != b.first_block
+                         ? a.first_block < b.first_block
+                         : a.pos < b.pos;
+            });
+  // Blocks of each range that have not started decoding; the range's
+  // window token comes back when this reaches zero. Guarded by `mutex`.
+  std::vector<u32> range_blocks_left(ranges.size());
+  for (u32 r = 0; r < ranges.size(); r++) {
+    range_blocks_left[r] = ranges[r].block_count;
+    for (u32 i = 0; i < ranges[r].block_count; i++) {
+      range_of[size_t{ranges[r].first_block + i} * needed_count +
+               ranges[r].pos] = r;
     }
   }
 
@@ -759,13 +794,10 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
       service_->SubmitDecode(tenant_slot_, cost, std::move(item));
     };
   } else {
-    u32 scan_threads = spec.config.scan_threads;
-    if (scan_threads == 0) {
-      scan_threads = std::max(1u, std::thread::hardware_concurrency());
-    }
     exec::ThreadPool& fetch_pool =
         EnsurePool(&fetch_pool_, std::max(1u, spec.config.fetch_threads));
-    exec::ThreadPool& decode_pool = EnsurePool(&decode_pool_, scan_threads);
+    exec::ThreadPool& decode_pool =
+        EnsurePool(&decode_pool_, StandaloneDecodeThreads(spec.config));
     submit_fetch = [&fetch_pool](u64, std::function<void()> item) {
       fetch_pool.Submit(std::move(item));
     };
@@ -774,18 +806,17 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
     };
   }
 
-  // Backpressure is window tokens: at most `window_tokens` parts of this
-  // scan are submitted and not yet being decoded. A fetch item takes one
-  // token; a bundle's decode item gives its parts' tokens back as it
-  // starts, so decode time never throttles GET concurrency. Tokens are
-  // only taken before submitting, never while holding an executor thread,
-  // so no item ever blocks on another (no cross-tenant head-of-line
-  // blocking on service executors). Parts are submitted in block-major
-  // order, so only the last submitted row block can be partly submitted:
-  // the window is prefetch_depth parts of lookahead plus room for that
-  // block's other needed_count - 1 parts. A row block can therefore
-  // always assemble, and a block wider than prefetch_depth does not leave
-  // fetch executors idle while its last parts arrive.
+  // Backpressure is window tokens, counted in ranges: a range takes one
+  // token when its fetch item is submitted and gives it back when the last
+  // row block it carries starts decoding, so decode time never throttles
+  // GET concurrency. Tokens are only taken before submitting, never while
+  // holding an executor thread, so no item ever blocks on another (no
+  // cross-tenant head-of-line blocking on service executors). Ranges are
+  // submitted in (first block, position) order, so while the oldest
+  // unassembled row block still misses a range, only the ranges that carry
+  // that block in the other needed_count - 1 columns can hold tokens that
+  // wait on more fetches. The window is prefetch_depth ranges of lookahead
+  // plus room for those, so a row block can always assemble.
   exec::RetryState retry(MakeRetryPolicy(spec.config));
   exec::HedgeState hedge(MakeHedgePolicy(spec.config));
   exec::StragglerSink stragglers;
@@ -796,8 +827,8 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
   }
   u64 window_tokens =
       u64{std::max<u32>(1, spec.config.prefetch_depth)} + needed_count - 1;
-  size_t next_request = 0;  // next index into `requests`; guarded by mutex
-  u64 outstanding = 0;      // submitted items not yet finished; guarded
+  size_t next_range = 0;  // next index into `ranges`; guarded by mutex
+  u64 outstanding = 0;    // submitted items not yet finished; guarded
   std::atomic<u64> cache_hits{0};
   std::atomic<u64> cache_misses{0};
 
@@ -832,7 +863,12 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
     {
       std::lock_guard<std::mutex> lock(mutex);
       bail = failed;
-      if (!bail) window_tokens += needed_count;
+      if (!bail) {
+        for (u32 pos = 0; pos < needed_count; pos++) {
+          u32 r = range_of[size_t{b} * needed_count + pos];
+          if (--range_blocks_left[r] == 0) window_tokens++;
+        }
+      }
     }
     if (!bail) {
       guarded([&] {
@@ -843,115 +879,160 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
     finish_item();
   };
 
-  // Resolves one part — shared cache hit, or GETs with retries and
-  // hedging — and hands a completed bundle to the decode executor.
-  auto fetch_part = [&](const FetchRequest& request) {
+  // One ranged GET, with retries and hedging, of blocks [begin, end) of
+  // `range`. On success each block gets its slice of the response as its
+  // own payload; a short response leaves the blocks past its end short or
+  // empty, and process_bundle's size check catches them. On failure every
+  // block of the run carries the status.
+  auto get_run = [&](const FetchRange& range, u32 begin, u32 end,
+                     std::vector<exec::BlockCache::Payload>* parts,
+                     std::vector<Status>* errors) {
+    const u32 column = resolved.needed[range.pos];
+    const std::vector<u64>& offsets = block_offsets_[column];
+    const u64 run_offset = offsets[range.first_block + begin];
+    const u64 run_length = offsets[range.first_block + end] - run_offset;
+    std::vector<u8> chunk;
+    exec::GetTally tally;
+    exec::RetryOutcome outcome;
+    Timer get_timer;
+    Status status;
+    {
+      BTR_TRACE_SPAN("scan.fetch");
+      // Transient failures retry with interruptible backoff; permanent
+      // ones (and exhausted retries) become the run's status. The
+      // breaker, when installed, can fail the request fast instead.
+      status = exec::RunWithRetries(
+          &retry,
+          [&] {
+            return exec::HedgedGet(store_, range.key, run_offset, run_length,
+                                   &hedge, &stragglers, &chunk, &tally,
+                                   hedge_gate);
+          },
+          backoff_sleep, breaker, &outcome);
+    }
+    get_count.fetch_add(tally.gets, std::memory_order_relaxed);
+    get_bytes.fetch_add(tally.bytes, std::memory_order_relaxed);
+    if (profile != nullptr) {
+      obs::FetchRecord record;
+      record.key = &range.key;
+      record.offset = run_offset;
+      record.length = run_length;
+      record.blocks = end - begin;
+      record.duration_ns = static_cast<u64>(get_timer.ElapsedNanos());
+      record.attempts = std::max<u32>(1, outcome.attempts);
+      record.retries = outcome.retries;
+      record.cacheable = active_cache != nullptr;
+      record.hedged = tally.hedges > 0;
+      record.hedge_won = tally.hedge_won;
+      record.breaker_rejected = outcome.breaker_rejected;
+      record.ok = status.ok();
+      profile->RecordFetch(record);
+    }
+    if (!status.ok()) {
+      for (u32 i = begin; i < end; i++) (*errors)[i] = status;
+      return;
+    }
+    if (serviced) {
+      service_->RecordFetchOutcome(tenant_slot_, /*cache_hit=*/false,
+                                   end - begin, chunk.size(), tally.gets,
+                                   tally.hedges > 0);
+    }
+    for (u32 i = begin; i < end; i++) {
+      const u32 b = range.first_block + i;
+      const u64 from = std::min<u64>(offsets[b] - run_offset, chunk.size());
+      const u64 to = std::min<u64>(offsets[b + 1] - run_offset, chunk.size());
+      auto buffer = std::make_shared<ByteBuffer>();
+      buffer->Append(chunk.data() + from, to - from);
+      // Verified admission: a corrupt or short payload is refused here
+      // and fails the size/CRC check in process_bundle.
+      cache_insert(range.key, offsets[b], offsets[b + 1] - offsets[b],
+                   buffer->data(), buffer->size(),
+                   meta_.columns[column].block_crcs[b]);
+      (*parts)[i] = std::move(buffer);
+    }
+  };
+
+  // Resolves one range — per-block shared cache hits, then one GET per
+  // run of adjacent misses — and hands every row block it completes to
+  // the decode executor.
+  auto fetch_range = [&](const FetchRange& range) {
     {
       std::lock_guard<std::mutex> lock(mutex);
       if (failed) return;
     }
-    exec::BlockCache::Payload payload;
-    Status status;
+    const u32 column = resolved.needed[range.pos];
+    const std::vector<u64>& offsets = block_offsets_[column];
+    std::vector<exec::BlockCache::Payload> parts(range.block_count);
+    std::vector<Status> errors(range.block_count);
     if (active_cache != nullptr) {
-      payload = active_cache->LookupShared(store_->id(), request.key,
-                                           request.offset, request.length);
-    }
-    if (payload != nullptr) {
-      // Cache hit: the bundle references the cached buffer directly —
+      // Cache hits: the bundle references the cached buffer directly —
       // zero copies, zero GETs.
-      cache_hits.fetch_add(1, std::memory_order_relaxed);
-      if (serviced) {
-        service_->RecordFetchOutcome(tenant_slot_, /*cache_hit=*/true,
+      u64 hits = 0;
+      for (u32 i = 0; i < range.block_count; i++) {
+        const u32 b = range.first_block + i;
+        parts[i] = active_cache->LookupShared(store_->id(), range.key,
+                                              offsets[b],
+                                              offsets[b + 1] - offsets[b]);
+        if (parts[i] == nullptr) continue;
+        hits++;
+        if (profile != nullptr) {
+          obs::FetchRecord record;
+          record.key = &range.key;
+          record.offset = offsets[b];
+          record.length = offsets[b + 1] - offsets[b];
+          record.cacheable = true;
+          record.cache_hit = true;
+          profile->RecordFetch(record);
+        }
+      }
+      cache_hits.fetch_add(hits, std::memory_order_relaxed);
+      cache_misses.fetch_add(range.block_count - hits,
+                             std::memory_order_relaxed);
+      if (hits > 0) {
+        service_->RecordFetchOutcome(tenant_slot_, /*cache_hit=*/true, hits,
                                      /*bytes=*/0, /*gets=*/0,
                                      /*hedged=*/false);
       }
-      if (profile != nullptr) {
-        obs::FetchRecord record;
-        record.key = &request.key;
-        record.offset = request.offset;
-        record.length = request.length;
-        record.cacheable = true;
-        record.cache_hit = true;
-        profile->RecordFetch(record);
-      }
-    } else {
-      if (active_cache != nullptr) {
-        cache_misses.fetch_add(1, std::memory_order_relaxed);
-      }
-      std::vector<u8> chunk;
-      exec::GetTally tally;
-      exec::RetryOutcome outcome;
-      Timer get_timer;
-      {
-        BTR_TRACE_SPAN("scan.fetch");
-        // Transient failures retry with interruptible backoff; permanent
-        // ones (and exhausted retries) become the part's status. The
-        // breaker, when installed, can fail the request fast instead.
-        status = exec::RunWithRetries(
-            &retry,
-            [&] {
-              return exec::HedgedGet(store_, request.key, request.offset,
-                                     request.length, &hedge, &stragglers,
-                                     &chunk, &tally, hedge_gate);
-            },
-            backoff_sleep, breaker, &outcome);
-      }
-      get_count.fetch_add(tally.gets, std::memory_order_relaxed);
-      get_bytes.fetch_add(tally.bytes, std::memory_order_relaxed);
-      if (profile != nullptr) {
-        obs::FetchRecord record;
-        record.key = &request.key;
-        record.offset = request.offset;
-        record.length = request.length;
-        record.duration_ns = static_cast<u64>(get_timer.ElapsedNanos());
-        record.attempts = std::max<u32>(1, outcome.attempts);
-        record.retries = outcome.retries;
-        record.cacheable = active_cache != nullptr;
-        record.hedged = tally.hedges > 0;
-        record.hedge_won = tally.hedge_won;
-        record.breaker_rejected = outcome.breaker_rejected;
-        record.ok = status.ok();
-        profile->RecordFetch(record);
-      }
-      if (status.ok()) {
-        if (serviced) {
-          service_->RecordFetchOutcome(tenant_slot_, /*cache_hit=*/false,
-                                       chunk.size(), tally.gets,
-                                       tally.hedges > 0);
-        }
-        auto buffer = std::make_shared<ByteBuffer>();
-        buffer->Append(chunk.data(), chunk.size());
-        payload = std::move(buffer);
-        // Verified admission: a corrupt payload is refused here and fails
-        // the CRC check in process_bundle.
-        cache_insert(request.key, request.offset, request.length,
-                     chunk.data(), chunk.size(), request.expected_crc);
-      }
     }
-    // A part whose fetch failed permanently still completes its bundle
+    for (u32 begin = 0; begin < range.block_count;) {
+      if (parts[begin] != nullptr) {
+        begin++;
+        continue;
+      }
+      u32 end = begin + 1;
+      while (end < range.block_count && parts[end] == nullptr) end++;
+      get_run(range, begin, end, &parts, &errors);
+      begin = end;
+    }
+
+    // A block whose fetch failed permanently still completes its bundle
     // (with the status in Bundle::error), so the emitter never waits on a
     // block that cannot arrive.
-    const u32 b = request.block;
-    std::shared_ptr<Bundle> complete;
+    std::vector<std::pair<u32, std::shared_ptr<Bundle>>> complete;
     {
       std::lock_guard<std::mutex> lock(mutex);
       if (failed) return;
-      Bundle& bundle = assembling[b];
-      if (bundle.parts.empty()) bundle.parts.resize(needed_count);
-      if (!status.ok() && bundle.error.ok()) bundle.error = status;
-      bundle.parts[request.pos] = std::move(payload);
-      if (++bundle.filled == needed_count) {
-        complete = std::make_shared<Bundle>(std::move(bundle));
-        assembling.erase(b);
-        outstanding++;  // the decode item submitted just below
+      for (u32 i = 0; i < range.block_count; i++) {
+        const u32 b = range.first_block + i;
+        Bundle& bundle = assembling[b];
+        if (bundle.parts.empty()) bundle.parts.resize(needed_count);
+        if (!errors[i].ok() && bundle.error.ok()) bundle.error = errors[i];
+        bundle.parts[range.pos] = std::move(parts[i]);
+        if (++bundle.filled == needed_count) {
+          complete.emplace_back(b, std::make_shared<Bundle>(std::move(bundle)));
+          assembling.erase(b);
+          outstanding++;  // the decode item submitted just below
+        }
       }
     }
-    if (complete != nullptr) {
+    for (auto& [b, bundle] : complete) {
       u64 cost = 0;
-      for (const exec::BlockCache::Payload& part : complete->parts) {
+      for (const exec::BlockCache::Payload& part : bundle->parts) {
         if (part != nullptr) cost += part->size();
       }
-      submit_decode(cost, [&, b, complete] { run_decode_item(b, complete); });
+      submit_decode(cost, [&, b = b, bundle = std::move(bundle)] {
+        run_decode_item(b, bundle);
+      });
     }
   };
 
@@ -959,10 +1040,10 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
     std::vector<size_t> to_submit;
     {
       std::lock_guard<std::mutex> lock(mutex);
-      while (!failed && window_tokens > 0 && next_request < requests.size()) {
+      while (!failed && window_tokens > 0 && next_range < ranges.size()) {
         window_tokens--;
         outstanding++;
-        to_submit.push_back(next_request++);
+        to_submit.push_back(next_range++);
       }
     }
     for (size_t i : to_submit) {
@@ -970,14 +1051,14 @@ Status Scanner::Scan(const ScanSpec& spec, const ChunkCallback& emit,
       // starts it (no clock read when profiling is off).
       std::chrono::steady_clock::time_point submitted{};
       if (profile != nullptr) submitted = std::chrono::steady_clock::now();
-      submit_fetch(requests[i].length, [&, i, submitted] {
+      submit_fetch(ranges[i].length, [&, i, submitted] {
         if (profile != nullptr) {
           auto waited = std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - submitted);
           profile->AddActivity(obs::ScanActivity::kPrefetchWait,
                                static_cast<u64>(waited.count()));
         }
-        guarded([&] { fetch_part(requests[i]); });
+        guarded([&] { fetch_range(ranges[i]); });
         finish_item();
       });
     }

@@ -6,8 +6,10 @@
 // s3sim::SimulateScan. One engine serves both kinds of Scanner:
 //
 //   zone maps ──► prune row blocks that cannot match (never fetched)
-//   fetch items ► one ranged GET per (row block, column) part, at most
-//                 prefetch_depth + needed columns - 1 parts in flight
+//   fetch items ► one ranged GET per range: a run of adjacent unpruned
+//                 blocks of one column within kFetchRangeBytes, split
+//                 into per-block payloads; at most prefetch_depth +
+//                 needed columns - 1 ranges in flight
 //   decode items► one per complete row block: validate, evaluate the
 //                 filter on the *compressed* form (selection vectors),
 //                 decompress only blocks whose selection is non-empty
@@ -16,7 +18,7 @@
 // Only the executors and the shared state differ. A standalone Scanner
 // runs the items on two private pools (fetch_threads and scan_threads
 // threads, kept across Scan() calls) and holds nothing else across scans:
-// no block cache and no circuit breaker, so every part is a GET. A
+// no block cache and no circuit breaker, so every range is a GET. A
 // serviced Scanner runs them on the ScanService's shared executors and
 // uses its shared block cache and per-backend circuit breaker; a cache or
 // a breaker means a ScanService (service/scan_service.h).
@@ -67,6 +69,16 @@ class ScanService;  // service/scan_service.h
 }  // namespace btr::service
 
 namespace btr {
+
+// Scan() fetches adjacent blocks of one column with one ranged GET while
+// their total size stays within this many bytes; a larger block is a range
+// by itself, and a pruned block always ends a range. A constant, not a
+// knob (docs/SCAN_PIPELINE.md, "Coalesced ranges", says why 192 KiB).
+inline constexpr u64 kFetchRangeBytes = 192 * 1024;
+
+// The decode threads a standalone Scan() runs with: config.scan_threads,
+// or the hardware concurrency (at least 1) when that is 0.
+u32 StandaloneDecodeThreads(const ScanConfig& config);
 
 // First table row of row block `block`. 64-bit on purpose: a table's row
 // count is u64, so past 2^32 / kBlockCapacity ≈ 67k blocks the product no

@@ -130,9 +130,9 @@ struct ScanProfile {
   HistogramSnapshot get_latency;  // per-GET nanoseconds, log2 buckets
 
   // Per-request outcome tallies (one GET request = one unit).
-  u64 requests = 0;        // parts the scan resolved (cache hits incl.)
-  u64 cache_hits = 0;
-  u64 cache_misses = 0;
+  u64 requests = 0;      // logical GETs plus cache-hit blocks
+  u64 cache_hits = 0;    // blocks served from the block cache
+  u64 cache_misses = 0;  // cacheable blocks that had to be fetched
   u64 retried_requests = 0;  // requests that needed more than one attempt
   u64 retries = 0;           // total extra attempts across the scan
   u64 hedged_requests = 0;
@@ -160,11 +160,13 @@ struct ScanProfile {
   std::string ToJson() const;
 };
 
-// What a fetch item reports for one resolved fetch request.
+// What a fetch item reports for one resolved fetch request: one ranged
+// GET of a run of adjacent blocks, or one block served from the cache.
 struct FetchRecord {
   const std::string* key = nullptr;  // not owned; copied if it makes the ring
   u64 offset = 0;
   u64 length = 0;
+  u32 blocks = 1;  // block parts the request carries
   u64 duration_ns = 0;
   u32 attempts = 1;
   u32 retries = 0;  // committed retries (may differ from attempts - 1

@@ -325,14 +325,15 @@ bool ScanService::TryCacheInsert(u32 tenant_slot, u64 store_id,
 }
 
 void ScanService::RecordFetchOutcome(u32 tenant_slot, bool cache_hit,
-                                     u64 bytes, u64 gets, bool hedged) {
+                                     u64 blocks, u64 bytes, u64 gets,
+                                     bool hedged) {
   TenantState& tenant = Tenant(tenant_slot);
   if (cache_hit) {
-    tenant.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    tenant.obs_hits->Add();
+    tenant.cache_hits.fetch_add(blocks, std::memory_order_relaxed);
+    tenant.obs_hits->Add(blocks);
     return;
   }
-  tenant.cache_misses.fetch_add(1, std::memory_order_relaxed);
+  tenant.cache_misses.fetch_add(blocks, std::memory_order_relaxed);
   tenant.gets.fetch_add(gets, std::memory_order_relaxed);
   tenant.bytes_fetched.fetch_add(bytes, std::memory_order_relaxed);
   tenant.obs_gets->Add(gets);

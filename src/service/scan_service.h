@@ -175,10 +175,11 @@ class ScanService {
   bool TryCacheInsert(u32 tenant_slot, u64 store_id, const std::string& key,
                       u64 offset, u64 length, const u8* data, size_t size,
                       u32 expected_crc);
-  // Accounts one resolved fetch: a cache hit, or `gets` GET attempts that
-  // moved `bytes` payload bytes (hedged when a duplicate was issued).
-  void RecordFetchOutcome(u32 tenant_slot, bool cache_hit, u64 bytes,
-                          u64 gets, bool hedged);
+  // Accounts `blocks` resolved block parts: cache hits, or misses that
+  // one ranged GET fetched in `gets` attempts moving `bytes` payload bytes
+  // (hedged when a duplicate was issued).
+  void RecordFetchOutcome(u32 tenant_slot, bool cache_hit, u64 blocks,
+                          u64 bytes, u64 gets, bool hedged);
 
   const ScanServiceConfig& config() const { return config_; }
   // Scans currently admitted (running), and waiting for admission.

@@ -37,9 +37,14 @@ class ByteBuffer {
 
   // Grows (or shrinks) the logical size. Contents up to min(old,new) size
   // are preserved. Always keeps kSimdPadding writable bytes past size().
+  // Growing an empty buffer allocates exactly new_size + kSimdPadding, as
+  // std::vector does: a fetched block, a cache entry or a decoded string
+  // pool is filled once and never appended to. A non-empty buffer grows
+  // by 1.5x so repeated appends stay amortized O(1).
   void Resize(size_t new_size) {
     if (new_size + kSimdPadding > capacity_) {
-      size_t new_capacity = new_size + new_size / 2 + kSimdPadding;
+      size_t slack = size_ == 0 ? 0 : new_size / 2;
+      size_t new_capacity = new_size + slack + kSimdPadding;
       std::unique_ptr<u8[]> grown(new u8[new_capacity]);
       if (size_ > 0) std::memcpy(grown.get(), data_.get(), size_);
       data_ = std::move(grown);

@@ -9,6 +9,7 @@
 //
 // Schedules are deterministic per seed (s3sim/fault.h), so any failure
 // here reproduces bit-for-bit from the seed in the assertion message.
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -317,7 +318,8 @@ TEST(ChaosTest, OpenUnderChaosIsTypedOrSucceeds) {
   f.store.ClearFaultPlan();
 }
 
-// Targeted schedule: "the 2nd GET of column 0" throttles once. Fail-fast
+// Targeted schedule: "the 1st GET of column 0" throttles once (the
+// column's two blocks, 73443 + 568 bytes, are one range). Fail-fast
 // config turns that into Status::Throttled; the default retrying config
 // absorbs it. Single fetch thread keeps the GET order deterministic.
 TEST(ChaosTest, TargetedThrottleFailsFastOrRetries) {
@@ -327,7 +329,7 @@ TEST(ChaosTest, TargetedThrottleFailsFastOrRetries) {
 
   s3sim::FaultPlan plan;
   plan.seed = 5;
-  plan.rules.push_back(s3sim::FaultRule::Throttle(".0.btr", 2));
+  plan.rules.push_back(s3sim::FaultRule::Throttle(".0.btr", 1));
 
   ScanSpec fail_fast = ChaosSpec();
   fail_fast.config.fetch_threads = 1;
@@ -407,7 +409,9 @@ TEST(ChaosTest, WarmCacheScanIsBitIdenticalAndGetFreeUnderChaos) {
   ExpectOutputsBitIdentical(f.reference, cold, 0);
   EXPECT_EQ(cold.stats.cache_hits, 0u);
   EXPECT_EQ(cold.stats.cache_misses, 6u) << "2 blocks x 3 columns";
-  EXPECT_EQ(cold.stats.requests, 6u);
+  // Each column's two blocks are one range (id 73443 + 568, price
+  // 70615 + 901, city 18578 + 223 bytes): 3 columns x 1 GET.
+  EXPECT_EQ(cold.stats.requests, 3u);
 
   for (u64 seed = 1; seed <= 25; seed++) {
     f.store.InstallFaultPlan(s3sim::MakeChaosPlan(seed, 0.25, true));
@@ -506,6 +510,85 @@ TEST(ChaosTest, SingleFlipWireCorruptionRescuedByRefetch) {
   f.store.InstallFaultPlan(plan);
   status = scanner.Scan(strict, &output);
   EXPECT_TRUE(status.IsCorruption()) << status.ToString();
+  f.store.ClearFaultPlan();
+}
+
+// A coalesced range carries several blocks, but integrity stays per
+// block: a truncated or bit-flipped range GET damages only the blocks whose
+// bytes it cut or flipped. Column 0's two blocks (73443 + 568 bytes) are
+// one range. With re-fetch on, each damaged block is re-fetched alone and
+// the scan is bit-identical; in degraded mode only the damaged blocks are
+// unreadable; without either, the scan fails with a typed Corruption.
+TEST(ChaosTest, DamagedCoalescedRangeIsCheckedPerBlock) {
+  Fixture f;
+  Scanner scanner(&f.store, "chaos_table", "lake/");
+  ASSERT_TRUE(scanner.Open().ok());
+  const u64 block0 = scanner.meta().columns[0].block_sizes[0];
+  ASSERT_EQ(scanner.meta().columns[0].block_sizes.size(), 2u);
+
+  struct Damage {
+    const char* name;
+    s3sim::FaultRule rule;
+    std::vector<u32> damaged;
+  };
+  const std::vector<Damage> damages = {
+      {"cut inside block 0", s3sim::FaultRule::Truncate(".0.btr", 1, 1000),
+       {0, 1}},
+      {"cut inside block 1",
+       s3sim::FaultRule::Truncate(".0.btr", 1, block0 + 100), {1}},
+      {"flip in block 0", s3sim::FaultRule::Corrupt(".0.btr", 1, 10), {0}},
+      {"flip in block 1", s3sim::FaultRule::Corrupt(".0.btr", 1, block0 + 10),
+       {1}},
+  };
+  for (const Damage& damage : damages) {
+    s3sim::FaultPlan plan;
+    plan.seed = 11;
+    plan.rules.push_back(damage.rule);
+
+    ScanSpec rescue = ChaosSpec();
+    rescue.config.refetch_on_crc_failure = true;
+    f.store.InstallFaultPlan(plan);
+    ScanOutput output;
+    Status status = scanner.Scan(rescue, &output);
+    ASSERT_TRUE(status.ok()) << damage.name << ": " << status.ToString();
+    ExpectOutputsBitIdentical(f.reference, output, 11);
+    EXPECT_EQ(output.stats.crc_refetches, damage.damaged.size())
+        << damage.name;
+    EXPECT_EQ(output.stats.crc_rescues, damage.damaged.size()) << damage.name;
+    // One range GET per column, plus one ranged re-GET per damaged block.
+    EXPECT_EQ(output.stats.requests, 3 + damage.damaged.size())
+        << damage.name;
+    EXPECT_EQ(f.store.faults_injected(), 1u) << damage.name;
+
+    ScanSpec degraded = ChaosSpec();
+    degraded.config.skip_unreadable_blocks = true;
+    f.store.InstallFaultPlan(plan);
+    status = scanner.Scan(degraded, &output);
+    ASSERT_TRUE(status.ok()) << damage.name << ": " << status.ToString();
+    EXPECT_EQ(output.stats.unreadable_blocks, damage.damaged) << damage.name;
+    for (const Status& reason : output.stats.unreadable_reasons) {
+      EXPECT_TRUE(reason.IsCorruption()) << damage.name << ": "
+                                         << reason.ToString();
+    }
+    for (u32 b = 0; b < output.stats.row_blocks; b++) {
+      const bool damaged =
+          std::find(damage.damaged.begin(), damage.damaged.end(), b) !=
+          damage.damaged.end();
+      EXPECT_EQ(output.block_outcomes[b], damaged ? BlockOutcome::kUnreadable
+                                                  : BlockOutcome::kDecoded)
+          << damage.name << ", block " << b;
+      if (damaged) continue;
+      for (size_t c = 0; c < output.columns.size(); c++) {
+        ExpectBlocksBitIdentical(f.reference.columns[c].blocks[b],
+                                 output.columns[c].blocks[b], 11);
+      }
+    }
+
+    f.store.InstallFaultPlan(plan);
+    status = scanner.Scan(ChaosSpec(), &output);
+    EXPECT_TRUE(status.IsCorruption()) << damage.name << ": "
+                                       << status.ToString();
+  }
   f.store.ClearFaultPlan();
 }
 

@@ -142,10 +142,12 @@ TEST(ProfileTest, FaultFreeTalliesMatchScanStats) {
   const obs::ScanProfile& profile = *output.stats.profile;
   const ScanStats& stats = output.stats;
 
-  // 2 row blocks x 3 columns, nothing cached, nothing retried.
-  EXPECT_EQ(profile.requests, 6u);
+  // Nothing cached, nothing retried. Each column's 2 row blocks are one
+  // range (id 73443 + 568, price 70615 + 901, city 18578 + 223 bytes, all
+  // under 192 KiB): 3 columns x 1 GET.
+  EXPECT_EQ(profile.requests, 3u);
   EXPECT_EQ(profile.requests, stats.requests);
-  EXPECT_EQ(profile.get_latency.count, 6u);
+  EXPECT_EQ(profile.get_latency.count, 3u);
   EXPECT_EQ(profile.cache_hits, stats.cache_hits);
   EXPECT_EQ(profile.cache_misses, stats.cache_misses);
   EXPECT_EQ(profile.retries, stats.retries);
@@ -209,8 +211,9 @@ TEST(ProfileTest, ChaosRetryTalliesMatchInjectedFaults) {
     if (f.store.faults_injected() > 0) {
       EXPECT_GE(profile.retried_requests, 1u) << "seed " << seed;
     }
-    // Logical requests stay 6; store attempts = requests + retries.
-    EXPECT_EQ(profile.requests, 6u);
+    // Logical requests stay 3 (one range per column); store attempts =
+    // requests + retries.
+    EXPECT_EQ(profile.requests, 3u);
     EXPECT_EQ(output.stats.requests, profile.requests + profile.retries);
     total_faults += f.store.faults_injected();
   }
@@ -334,8 +337,8 @@ TEST(ProfileTest, ServicedScanRecordsPrefetchWait) {
     ScanOutput output;
     ASSERT_TRUE(scanner->Scan(ProfileSpec(), &output).ok());
     ASSERT_NE(output.stats.profile, nullptr);
-    EXPECT_EQ(output.stats.profile->activities[wait_idx].count, 6u)
-        << "one sample per fetch item: 2 row blocks x 3 columns";
+    EXPECT_EQ(output.stats.profile->activities[wait_idx].count, 3u)
+        << "one sample per fetch item: 3 columns x 1 range of 2 blocks";
   }
 }
 

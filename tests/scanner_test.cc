@@ -417,7 +417,10 @@ TEST(ScannerTest, ConcurrentScansReportOnlyTheirOwnGets) {
                     .ok());
     EXPECT_EQ(solo.requests, f.store.total_requests() - before);
     EXPECT_EQ(solo.bytes_fetched, f.store.total_bytes_fetched() - bytes_before);
-    ASSERT_EQ(solo.requests, 9u) << "3 row blocks x 3 columns";
+    // One GET per range: id's 73443 + 73849 + 24713 bytes fit one 192 KiB
+    // range, price's 513293, 513293 and 53007 are three, city's 36070 +
+    // 22258 + 7718 are one: 1 + 3 + 1.
+    ASSERT_EQ(solo.requests, 5u) << "1 + 3 + 1 ranges";
   }
 
   std::atomic<int> arrived{0};
@@ -470,7 +473,8 @@ TEST(ScannerTest, StandaloneRepeatScanIssuesTheSameGets) {
   ASSERT_TRUE(scanner.Scan(PipelinedSpec(), [](ColumnChunk&&) {}, &first).ok());
   ASSERT_TRUE(
       scanner.Scan(PipelinedSpec(), [](ColumnChunk&&) {}, &second).ok());
-  EXPECT_EQ(first.requests, 9u) << "3 row blocks x 3 columns";
+  // 1 + 3 + 1 ranges, as in ConcurrentScansReportOnlyTheirOwnGets.
+  EXPECT_EQ(first.requests, 5u) << "1 + 3 + 1 ranges";
   EXPECT_EQ(second.requests, first.requests);
   EXPECT_EQ(second.bytes_fetched, first.bytes_fetched);
   EXPECT_EQ(first.cache_hits, 0u);
@@ -604,6 +608,228 @@ TEST(ScannerTest, OpensLegacyV1Meta) {
   for (size_t c = 0; c < expected.columns.size(); c++) {
     ASSERT_EQ(output.columns[c].blocks.size(),
               expected.columns[c].blocks.size());
+    for (size_t b = 0; b < expected.columns[c].blocks.size(); b++) {
+      ExpectBlocksBitIdentical(expected.columns[c].blocks[b],
+                               output.columns[c].blocks[b]);
+    }
+  }
+}
+
+
+// The fetch plan, recomputed from the meta: each column's unpruned blocks
+// split into runs of adjacent blocks within kFetchRangeBytes; a pruned
+// block ends a run. Returns the number of ranges and adds the bytes they
+// cover to `*bytes`.
+u64 PlannedRanges(const TableMeta& meta, const std::vector<u32>& columns,
+                  const std::vector<bool>& pruned, u64* bytes) {
+  u64 ranges = 0;
+  for (u32 c : columns) {
+    const std::vector<u32>& sizes = meta.columns[c].block_sizes;
+    u64 run = 0;
+    bool open = false;
+    for (size_t b = 0; b < sizes.size(); b++) {
+      if (pruned[b]) {
+        open = false;
+        continue;
+      }
+      *bytes += sizes[b];
+      if (open && run + sizes[b] <= kFetchRangeBytes) {
+        run += sizes[b];
+        continue;
+      }
+      ranges++;
+      run = sizes[b];
+      open = true;
+    }
+  }
+  return ranges;
+}
+
+// A standalone scan sends one GET per planned range, and those GETs move
+// exactly the needed blocks' bytes: with block 1 pruned, the gap between
+// blocks 0 and 2 is never read.
+TEST(ScannerTest, OneGetPerCoalescedRangeAndNoGapBytes) {
+  Fixture f;
+  Scanner scanner(&f.store, "scan_table", "lake/");
+  ASSERT_TRUE(scanner.Open().ok());
+  const std::vector<u32> all = {0, 1, 2};
+
+  // Block sizes id 73443/73849/24713, price 513293/513293/53007, city
+  // 36070/22258/7718: id and city are one range each, price is three.
+  ScanStats full;
+  u64 before = f.store.total_bytes_fetched();
+  ASSERT_TRUE(scanner.Scan(PipelinedSpec(), [](ColumnChunk&&) {}, &full).ok());
+  u64 full_bytes = 0;
+  EXPECT_EQ(full.requests,
+            PlannedRanges(scanner.meta(), all, {false, false, false},
+                          &full_bytes));
+  EXPECT_EQ(full.requests, 5u) << "1 + 3 + 1 ranges";
+  EXPECT_EQ(full.bytes_fetched, full_bytes);
+  EXPECT_EQ(f.store.total_bytes_fetched() - before, full_bytes);
+
+  // ids of block b lie in [b*1000, b*1000+999]: the OR prunes block 1
+  // only, which splits id's and city's ranges in two: 2 + 2 + 2.
+  ScanSpec spec = PipelinedSpec();
+  spec.filter = PredicateExpr::Or(PredicateExpr::BetweenInt("id", 0, 999),
+                                  PredicateExpr::BetweenInt("id", 2000, 2999));
+  ScanOutput output;
+  before = f.store.total_bytes_fetched();
+  u64 before_requests = f.store.total_requests();
+  Status status = scanner.Scan(spec, &output);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  ASSERT_EQ(output.stats.blocks_pruned, 1u);
+  EXPECT_EQ(output.block_outcomes[1], BlockOutcome::kPruned);
+  u64 pruned_bytes = 0;
+  EXPECT_EQ(output.stats.requests,
+            PlannedRanges(scanner.meta(), all, {false, true, false},
+                          &pruned_bytes));
+  EXPECT_EQ(output.stats.requests, 6u) << "2 + 2 + 2 ranges";
+  EXPECT_EQ(f.store.total_requests() - before_requests, 6u);
+  EXPECT_EQ(output.stats.bytes_fetched, pruned_bytes);
+  EXPECT_EQ(f.store.total_bytes_fetched() - before, pruned_bytes);
+  u64 block1 = 0;
+  for (u32 c : all) block1 += scanner.meta().columns[c].block_sizes[1];
+  EXPECT_EQ(pruned_bytes + block1, full_bytes);
+  for (u32 b : {0u, 2u}) {
+    DecodedBlock reference;
+    for (size_t c = 0; c < 3; c++) {
+      DecompressBlock(f.compressed.columns[c].blocks[b].data(), &reference,
+                      f.config);
+      ExpectBlocksBitIdentical(reference, output.columns[c].blocks[b]);
+    }
+  }
+}
+
+// 14 columns of mixed part sizes (random ints over 192 KiB a block, small
+// clustered ints and strings, doubles) scanned with one fetch thread and a
+// one-range lookahead: the window counted in ranges must still let every
+// row block assemble, and the rows must be bit-identical.
+TEST(ScannerTest, FourteenMixedColumnsWithMinimalWindowComplete) {
+  Relation table("mixed");
+  constexpr u32 kMixedRows = 3 * kBlockCapacity + 5000;
+  const char* cities[3] = {"oslo", "rome", "lima"};
+  u64 state = 0x9E3779B97F4A7C15ull;
+  for (u32 c = 0; c < 14; c++) {
+    ColumnType type = c % 3 == 0   ? ColumnType::kInteger
+                      : c % 3 == 1 ? ColumnType::kString
+                                   : ColumnType::kDouble;
+    Column& column = table.AddColumn("m" + std::to_string(c), type);
+    for (u32 i = 0; i < kMixedRows; i++) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      const u32 noise = static_cast<u32>(state >> 33);
+      switch (type) {
+        case ColumnType::kInteger:
+          // Even columns: incompressible; odd ones: a few runs per block.
+          column.AppendInt(c % 2 == 0 ? static_cast<i32>(noise)
+                                      : static_cast<i32>(i / 4096));
+          break;
+        case ColumnType::kString:
+          column.AppendString(cities[(c % 2 == 0 ? noise : i / 8192) % 3]);
+          break;
+        case ColumnType::kDouble:
+          column.AppendDouble(c % 2 == 0 ? static_cast<double>(noise) / 7.0
+                                         : static_cast<double>(i % 64));
+          break;
+      }
+    }
+  }
+  CompressionConfig config;
+  CompressedRelation compressed = CompressRelation(table, config);
+  bool big = false, small = false;
+  for (const CompressedColumn& column : compressed.columns) {
+    for (const ByteBuffer& block : column.blocks) {
+      big |= block.size() > kFetchRangeBytes;
+      small |= block.size() < kFetchRangeBytes / 8;
+    }
+  }
+  ASSERT_TRUE(big && small) << "the table must mix part sizes";
+  s3sim::ObjectStore store;
+  ASSERT_TRUE(
+      UploadCompressedRelation(compressed, nullptr, "lake/", &store).ok());
+
+  ScanSpec spec;
+  spec.config.prefetch_depth = 1;
+  spec.config.fetch_threads = 1;
+  spec.config.scan_threads = 2;
+  service::ScanServiceConfig service_config;
+  service_config.fetch_threads = 1;
+  service_config.decode_threads = 1;
+  service::ScanService service(service_config);
+  Scanner standalone(&store, "mixed", "lake/");
+  Scanner serviced(service, "tenant", &store, "mixed", "lake/");
+  for (Scanner* scanner : {&standalone, &serviced}) {
+    ASSERT_TRUE(scanner->Open().ok());
+    ScanOutput output;
+    Status status = scanner->Scan(spec, &output);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    ASSERT_EQ(output.columns.size(), 14u);
+    EXPECT_EQ(output.stats.blocks_decoded, 4u);
+    u64 bytes = 0;
+    std::vector<u32> all(14);
+    for (u32 c = 0; c < 14; c++) all[c] = c;
+    EXPECT_EQ(output.stats.requests,
+              PlannedRanges(scanner->meta(), all, std::vector<bool>(4, false),
+                            &bytes));
+    EXPECT_EQ(output.stats.bytes_fetched, bytes);
+    for (size_t c = 0; c < 14; c++) {
+      DecodedBlock reference;
+      for (size_t b = 0; b < 4; b++) {
+        DecompressBlock(compressed.columns[c].blocks[b].data(), &reference,
+                        config);
+        ExpectBlocksBitIdentical(reference, output.columns[c].blocks[b]);
+      }
+    }
+  }
+}
+
+// A serviced scan over a partly warm cache looks every block up first and
+// GETs only the runs of misses: after a scan that caches block 0 of every
+// column, a full scan fetches blocks 1-2 of id and of city with one GET
+// each and price's two blocks with one GET each (513293 + 53007 bytes do
+// not fit one range): 4 GETs, 3 hits, 6 misses. Its rows equal a
+// standalone scan's.
+TEST(ScannerTest, PartlyWarmCacheGetsOnlyMissingBlocks) {
+  Fixture f;
+  service::ScanServiceConfig config;
+  config.fetch_threads = 2;
+  config.decode_threads = 2;
+  service::ScanService service(config);
+  Scanner serviced(service, "tenant", &f.store, "scan_table", "lake/");
+  ASSERT_TRUE(serviced.Open().ok());
+
+  ScanSpec warm_block0 = PipelinedSpec();
+  warm_block0.filter = PredicateExpr::BetweenInt("id", 0, 999);
+  ScanOutput warming;
+  ASSERT_TRUE(serviced.Scan(warm_block0, &warming).ok());
+  ASSERT_EQ(warming.stats.blocks_pruned, 2u);
+  ASSERT_EQ(warming.stats.cache_misses, 3u);
+
+  ScanOutput expected;
+  {
+    Scanner standalone(&f.store, "scan_table", "lake/");
+    ASSERT_TRUE(standalone.Open().ok());
+    ASSERT_TRUE(standalone.Scan(PipelinedSpec(), &expected).ok());
+  }
+
+  u64 before = f.store.total_requests();
+  u64 bytes_before = f.store.total_bytes_fetched();
+  ScanOutput output;
+  Status status = serviced.Scan(PipelinedSpec(), &output);
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(output.stats.cache_hits, 3u);
+  EXPECT_EQ(output.stats.cache_misses, 6u);
+  EXPECT_EQ(output.stats.requests, 4u);
+  EXPECT_EQ(f.store.total_requests() - before, 4u);
+  u64 missing = 0;
+  for (u32 c = 0; c < 3; c++) {
+    for (u32 b : {1u, 2u}) missing += serviced.meta().columns[c].block_sizes[b];
+  }
+  EXPECT_EQ(output.stats.bytes_fetched, missing);
+  EXPECT_EQ(f.store.total_bytes_fetched() - bytes_before, missing);
+
+  EXPECT_EQ(output.block_outcomes, expected.block_outcomes);
+  EXPECT_EQ(output.stats.rows_matched, expected.stats.rows_matched);
+  for (size_t c = 0; c < expected.columns.size(); c++) {
     for (size_t b = 0; b < expected.columns[c].blocks.size(); b++) {
       ExpectBlocksBitIdentical(expected.columns[c].blocks[b],
                                output.columns[c].blocks[b]);

@@ -59,6 +59,40 @@ TEST(ByteBufferTest, PaddingAlwaysPresent) {
   }
 }
 
+// The first allocation is exact (a fetched block or a decoded pool is
+// filled once); appends to a non-empty buffer grow it by 1.5x.
+TEST(ByteBufferTest, FirstAllocationExactLaterGrowthGeometric) {
+  constexpr size_t kSize = 100000;
+  ByteBuffer appended;
+  std::vector<u8> bytes(kSize, 0xAB);
+  appended.Append(bytes.data(), bytes.size());
+  EXPECT_EQ(appended.capacity(), kSize + kSimdPadding);
+
+  ByteBuffer resized;
+  resized.Resize(kSize);
+  EXPECT_EQ(resized.capacity(), kSize + kSimdPadding);
+  ByteBuffer constructed(kSize);
+  EXPECT_EQ(constructed.capacity(), kSize + kSimdPadding);
+
+  // One more byte past the exact allocation grows geometrically.
+  appended.AppendValue<u8>(1);
+  EXPECT_EQ(appended.capacity(), (kSize + 1) + (kSize + 1) / 2 + kSimdPadding);
+  EXPECT_EQ(appended.data()[kSize - 1], 0xAB);  // contents preserved
+
+  // Byte-at-a-time appends reallocate O(log n) times, not once per byte.
+  ByteBuffer grown;
+  int reallocations = 0;
+  size_t capacity = grown.capacity();
+  for (size_t i = 0; i < kSize; i++) {
+    grown.AppendValue<u8>(static_cast<u8>(i));
+    if (grown.capacity() != capacity) {
+      reallocations++;
+      capacity = grown.capacity();
+    }
+  }
+  EXPECT_LT(reallocations, 40);
+}
+
 TEST(BitStreamTest, RoundTripVariousWidths) {
   BitWriter writer;
   std::vector<std::pair<u64, u32>> values;
